@@ -64,6 +64,7 @@ from repro.obs import (
     Tracer,
     configure_logging,
     quality_from_evaluation,
+    read_jsonl,
     to_openmetrics,
     use_obs,
 )
@@ -649,12 +650,9 @@ def _load_baseline_file(path: str) -> list:
     shape a committed CI baseline (``benchmarks/perf_baseline.jsonl``)
     uses, identical to ledger lines.
     """
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(RunRecord.from_dict(json.loads(line)))
-    return records
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"no such file: {path}")
+    return [RunRecord.from_dict(data) for data in read_jsonl(path)]
 
 
 def _ledger_from_args(args: argparse.Namespace):
@@ -705,7 +703,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     elif args.baseline_file:
         try:
             baseline = _load_baseline_file(args.baseline_file)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"xring regress: bad baseline file: {exc}", file=sys.stderr)
             return 2
         # A committed baseline may hold records for several benchmarks;

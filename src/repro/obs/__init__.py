@@ -15,7 +15,9 @@ flow actually did:
   through deep call stacks without signature churn;
 - :mod:`repro.obs.artifacts` — :class:`RunArtifacts`, the per-run
   ``trace.jsonl`` / ``trace.json`` / ``metrics.json`` / ``report.json``
-  bundle behind the CLI's ``--trace-dir``;
+  bundle behind the CLI's ``--trace-dir``, plus the shared durable-file
+  primitives (:func:`atomic_write_text`, the torn-tail-safe
+  :func:`read_jsonl` / :func:`append_jsonl` log, :func:`canonical_json`);
 - :mod:`repro.obs.logsetup` — the ``repro`` stdlib-logging hierarchy
   behind ``--log-level``;
 - :mod:`repro.obs.propagate` — cross-process trace propagation:
@@ -40,7 +42,13 @@ pairs :data:`NULL_TRACER` with :data:`NULL_METRICS`, both guarded by a
 single ``enabled`` attribute.
 """
 
-from repro.obs.artifacts import RunArtifacts, atomic_write_text
+from repro.obs.artifacts import (
+    RunArtifacts,
+    append_jsonl,
+    atomic_write_text,
+    canonical_json,
+    read_jsonl,
+)
 from repro.obs.context import NULL_OBS, ObsContext, get_obs, use_obs
 from repro.obs.history import (
     LEDGER_DIRNAME,
@@ -96,7 +104,7 @@ from repro.obs.slo import (
     file_sink,
     stderr_sink,
 )
-from repro.obs.timeseries import TimeSeriesStore, read_series_file
+from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.regress import (
     RegressionThresholds,
     RegressionVerdict,
@@ -150,7 +158,6 @@ __all__ = [
     "parse_exposition",
     "merge_expositions",
     "TimeSeriesStore",
-    "read_series_file",
     "SLO",
     "AlertEngine",
     "default_service_slos",
@@ -169,6 +176,9 @@ __all__ = [
     "use_obs",
     "RunArtifacts",
     "atomic_write_text",
+    "append_jsonl",
+    "read_jsonl",
+    "canonical_json",
     "configure_logging",
     "get_logger",
     "LOG_LEVELS",

@@ -2,10 +2,11 @@
 
 Every synthesizer / batch / experiment / bench invocation can drop one
 :class:`RunRecord` into a :class:`RunLedger` — a JSONL file under
-``.xring_history/`` (one complete JSON object per line, rewritten
-atomically through :func:`~repro.obs.artifacts.atomic_write_text`, so
-a kill at any instant leaves a complete ledger).  A record is the
-durable, machine-checkable summary real regression tooling needs:
+``.xring_history/`` (one complete JSON object per line, appended and
+fsynced through :func:`~repro.obs.artifacts.append_jsonl`, so a kill
+at any instant costs at most the torn tail line the loader drops).  A
+record is the durable, machine-checkable summary real regression
+tooling needs:
 
 - an **environment fingerprint** (python, platform, cpu count) so
   cross-host comparisons are explicit, never silent;
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import platform
@@ -43,10 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.artifacts import atomic_write_text
-from repro.obs.logsetup import get_logger
-
-_log = get_logger("obs.history")
+from repro.obs.artifacts import append_jsonl, canonical_json, read_jsonl
 
 #: Default ledger location, relative to the working directory.
 LEDGER_DIRNAME = ".xring_history"
@@ -64,11 +61,6 @@ SOLVER_COUNTERS = {
     "simplex_pivots": "milp.simplex.pivots",
     "bb_nodes": "milp.bb.nodes",
 }
-
-
-def _canonical(value: Any) -> str:
-    """Deterministic JSON encoding (stable across runs and platforms)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def json_safe(value: Any) -> Any:
@@ -111,7 +103,8 @@ def options_fingerprint(options: Any) -> str:
         payload = options
     else:
         payload = {"repr": repr(options)}
-    return hashlib.sha256(_canonical(json_safe(payload)).encode("utf-8")).hexdigest()
+    encoded = canonical_json(json_safe(payload)).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
 
 
 def stage_latency_from_snapshot(snapshot: dict[str, Any]) -> dict[str, dict[str, Any]]:
@@ -304,7 +297,7 @@ class RunRecord:
             "quality": self.quality,
             "extra": self.extra,
         }
-        return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -349,9 +342,9 @@ class RunRecord:
 class RunLedger:
     """The append-only JSONL run history under one directory.
 
-    Appends rewrite the file atomically (tmp + fsync + ``os.replace``)
-    so readers always see a complete ledger; the loader additionally
-    tolerates one torn tail line from foreign writers.
+    Appends go through :func:`~repro.obs.artifacts.append_jsonl` with
+    fsync; reads through :func:`~repro.obs.artifacts.read_jsonl`, which
+    drops a torn tail line and raises on corrupt interior lines.
     """
 
     def __init__(self, directory: str | Path = LEDGER_DIRNAME) -> None:
@@ -362,38 +355,15 @@ class RunLedger:
         return self.directory / LEDGER_FILENAME
 
     def append(self, record: RunRecord) -> RunRecord:
-        """Append one record (atomic rewrite); returns it unchanged."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existing = ""
-        if self.path.exists():
-            existing = self.path.read_text(encoding="utf-8")
-            if existing and not existing.endswith("\n"):
-                existing += "\n"
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        atomic_write_text(self.path, existing + line)
+        """Durably append one record; returns it unchanged."""
+        append_jsonl(self.path, [record.to_dict()], fsync=True)
         return record
 
     def entries(
         self, *, kind: str | None = None, label: str | None = None
     ) -> list[RunRecord]:
         """Every record, oldest first, optionally filtered."""
-        if not self.path.exists():
-            return []
-        records: list[RunRecord] = []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    _log.warning(
-                        "ledger %s: dropping torn tail line %d", self.path, lineno
-                    )
-                    continue
-                raise
-            records.append(RunRecord.from_dict(data))
+        records = [RunRecord.from_dict(data) for data in read_jsonl(self.path)]
         if kind is not None:
             records = [r for r in records if r.kind == kind]
         if label is not None:

@@ -23,9 +23,10 @@ Design points:
   :meth:`TimeSeriesStore.point_count`).
 - **JSONL persistence.**  With a ``persist_path`` every scrape appends
   one compact line (counters, gauges, histogram totals) for
-  post-mortems; the file rotates once to ``<path>.1`` past
-  ``max_persist_bytes`` and :func:`read_series_file` tolerates a torn
-  final line, matching the journal conventions elsewhere in the repo.
+  post-mortems through the shared :func:`~repro.obs.artifacts.append_jsonl`
+  log (no fsync: the writer runs on the service's event loop); read it
+  back with :func:`~repro.obs.artifacts.read_jsonl`.  The file rotates
+  once to ``<path>.1`` past ``max_persist_bytes``.
 
 Counter resets (a restarted process re-registering at zero) are
 tolerated: a negative delta is read as "the counter restarted", and the
@@ -34,16 +35,16 @@ new cumulative value is taken as the delta for that window.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.artifacts import append_jsonl
 
 __all__ = [
     "TimeSeriesStore",
-    "read_series_file",
     "DEFAULT_CAPACITY",
     "DEFAULT_TIER_FACTORS",
 ]
@@ -154,27 +155,22 @@ class TimeSeriesStore:
                 series.tiers[tier].append(sample)
 
     def _persist(self, t: float, snapshot: dict[str, Any]) -> None:
-        line = json.dumps(
-            {
-                "t": round(t, 3),
-                "counters": snapshot.get("counters", {}),
-                "gauges": snapshot.get("gauges", {}),
-                "histograms": {
-                    name: {"total": data.get("total", 0),
-                           "sum": data.get("sum", 0.0)}
-                    for name, data in snapshot.get("histograms", {}).items()
-                },
+        record = {
+            "t": round(t, 3),
+            "counters": snapshot.get("counters", {}),
+            "gauges": snapshot.get("gauges", {}),
+            "histograms": {
+                name: {"total": data.get("total", 0),
+                       "sum": data.get("sum", 0.0)}
+                for name, data in snapshot.get("histograms", {}).items()
             },
-            sort_keys=True,
-        )
+        }
         path = self.persist_path
         assert path is not None
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             if path.exists() and path.stat().st_size > self.max_persist_bytes:
                 os.replace(path, path.with_name(path.name + ".1"))
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_jsonl(path, [record], fsync=False)
         except OSError:
             # Persistence is best-effort; history stays in memory.
             pass
@@ -396,20 +392,3 @@ def _quantile_from_counts(edges: list[float], counts: list[int],
             return lower_edge + (upper_edge - lower_edge) * min(1.0, fraction)
     return float(edges[-1]) if edges else 0.0
 
-
-def read_series_file(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield persisted scrape records, tolerating a torn final line."""
-    path = Path(path)
-    if not path.exists():
-        return
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a crashed writer
-            if isinstance(record, dict) and "t" in record:
-                yield record

@@ -40,7 +40,6 @@ from repro.parallel.cache import (
 from repro.parallel.journal import (
     BatchJournal,
     batch_fingerprint,
-    canonical_json,
     case_key,
     result_digest,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "BatchSynthesizer",
     "BatchJournal",
     "batch_fingerprint",
-    "canonical_json",
     "case_key",
     "result_digest",
     "AttemptRecord",

@@ -24,7 +24,7 @@ Design decisions:
   :class:`~repro.parallel.supervisor.SupervisorConfig`.
 - **Crash-safe checkpointing** — pass ``journal=`` (a path or
   :class:`~repro.parallel.journal.BatchJournal`) and every finished
-  case is checkpointed atomically; a killed batch resumes from the
+  case is checkpointed durably; a killed batch resumes from the
   journal, restoring finished results verbatim and recomputing only
   unfinished cases (CLI: ``xring batch --resume``).
 - **Per-worker observability re-initialization** — each case gets a
@@ -56,8 +56,6 @@ import os
 import pickle
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -67,6 +65,7 @@ from repro.obs import (
     RunArtifacts,
     TraceContext,
     atomic_write_text,
+    canonical_json,
     current_trace,
     get_logger,
     get_obs,
@@ -76,7 +75,6 @@ from repro.parallel.cache import canonical_points, get_cache
 from repro.parallel.journal import (
     BatchJournal,
     batch_fingerprint,
-    canonical_json,
     case_key,
     result_digest,
 )
@@ -87,7 +85,6 @@ from repro.parallel.supervisor import (
     SupervisorConfig,
     SupervisorStats,
     WorkerSupervisor,
-    _execute_case,
 )
 from repro.robustness.errors import (
     CircuitOpen,
@@ -285,10 +282,7 @@ class BatchSynthesizer:
     recovery are implementation details, never semantic ones.
 
     ``config`` sets the supervision policy (retries, per-case timeout,
-    backoff, circuit breaker); ``supervised=False`` selects the legacy
-    unsupervised ``ProcessPoolExecutor`` fast path (no retries, no
-    watchdog — but a broken pool still degrades to per-case failures
-    instead of losing the batch).  ``fault_plan`` injects worker-level
+    backoff, circuit breaker).  ``fault_plan`` injects worker-level
     chaos faults (crash/hang/abort) for the chaos suite.
     """
 
@@ -300,7 +294,6 @@ class BatchSynthesizer:
         share_tours: bool = True,
         collect_spans: bool = False,
         config: SupervisorConfig | None = None,
-        supervised: bool = True,
         fault_plan: FaultPlan | None = None,
         on_event: Any = None,
         trace: TraceContext | None = None,
@@ -321,7 +314,6 @@ class BatchSynthesizer:
         self.share_tours = share_tours
         self.collect_spans = collect_spans
         self.config = config or SupervisorConfig()
-        self.supervised = supervised
         self.fault_plan = fault_plan
         #: Progress-event sink (JSON-ready dicts); the supervisor emits
         #: per-case transitions and heartbeats through it, the batch
@@ -473,25 +465,19 @@ class BatchSynthesizer:
                     l2, keys[result.index], cases[result.index], result
                 )
 
-        stats = SupervisorStats()
-        if self.supervised:
-            supervisor = WorkerSupervisor(
-                self.workers,
-                self.config,
-                collect_spans=self.collect_spans,
-                fault_plan=self.fault_plan,
-                on_event=self.on_event,
-                trace=trace,
-            )
-            on_complete = None
-            if journal_obj is not None or l2 is not None:
-                on_complete = checkpoint
-            outcomes = supervisor.run(remaining, on_complete=on_complete)
-            stats = supervisor.stats
-        else:
-            outcomes = self._run_unsupervised(remaining, trace)
-            for result in outcomes:
-                checkpoint(result)
+        supervisor = WorkerSupervisor(
+            self.workers,
+            self.config,
+            collect_spans=self.collect_spans,
+            fault_plan=self.fault_plan,
+            on_event=self.on_event,
+            trace=trace,
+        )
+        on_complete = None
+        if journal_obj is not None or l2 is not None:
+            on_complete = checkpoint
+        outcomes = supervisor.run(remaining, on_complete=on_complete)
+        stats = supervisor.stats
         stats.resumed = journal_restored
 
         outcomes = list(restored.values()) + list(outcomes)
@@ -512,68 +498,6 @@ class BatchSynthesizer:
             )
         journal_obj.begin(batch_fingerprint(keys), len(keys))
         return journal_obj
-
-    def _run_unsupervised(
-        self,
-        indexed_cases: list[tuple[int, BatchCase]],
-        trace: TraceContext | None = None,
-    ) -> list[BatchResult]:
-        """Legacy fast path: plain pool, no retries, no watchdog.
-
-        A :class:`BrokenProcessPool` (a worker OOM-killed or
-        segfaulted) degrades to per-case failures for the cases whose
-        futures broke — completed results are kept, the batch is never
-        lost to an unhandled crash.
-        """
-
-        def case_trace(idx: int) -> TraceContext | None:
-            # No attempt dimension here (no retries): one subtree per
-            # case, parented straight onto the request context.
-            if trace is None:
-                return None
-            return trace.child(trace.parent_uid, prefix=f"c{idx}.a1")
-
-        if self.workers == 1 or len(indexed_cases) <= 1:
-            return [
-                _execute_case(idx, case, self.collect_spans, case_trace(idx))
-                for idx, case in indexed_cases
-            ]
-        outcomes: list[BatchResult] = []
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                (
-                    idx,
-                    case,
-                    pool.submit(
-                        _execute_case,
-                        idx,
-                        case,
-                        self.collect_spans,
-                        case_trace(idx),
-                    ),
-                )
-                for idx, case in indexed_cases
-            ]
-            for idx, case, future in futures:
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool as exc:
-                    _log.warning(
-                        "process pool broke during case %d (%s): %s",
-                        idx,
-                        case.named(),
-                        exc,
-                    )
-                    outcomes.append(
-                        BatchResult(
-                            index=idx,
-                            label=case.named(),
-                            error=f"BrokenProcessPool: {exc} (worker died; "
-                            "re-run with supervised=True for retries)",
-                            error_type="BrokenProcessPool",
-                        )
-                    )
-        return outcomes
 
     @staticmethod
     def _fold_worker_cache_stats(

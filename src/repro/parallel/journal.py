@@ -15,11 +15,13 @@ run computed — nothing is re-derived.  A ``digest`` (SHA-256 of the
 canonical design dump, or of the error string for failures) rides
 along for cheap integrity checks and cross-run diffing.
 
-Durability: the journal file is rewritten atomically (tmp +
-``os.replace`` + fsync) on every append, so a ``kill -9`` at any
-instant leaves either the previous complete journal or the new one —
-never a truncated line.  The loader additionally tolerates a torn
-tail line, for journals produced by foreign writers.
+Durability: a fresh journal's header is written atomically (tmp +
+``os.replace`` + fsync, replacing whatever was at the path); each
+finished case is then appended and fsynced as one line through
+:func:`~repro.obs.artifacts.append_jsonl`.  A ``kill -9`` mid-append
+leaves at most a torn tail line, which the loader
+(:func:`~repro.obs.artifacts.read_jsonl`) drops and the next append
+truncates away.
 """
 
 from __future__ import annotations
@@ -33,27 +35,16 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from repro.obs import atomic_write_text, get_logger
+from repro.obs import (
+    append_jsonl,
+    atomic_write_text,
+    canonical_json,
+    read_jsonl,
+)
 from repro.parallel.supervisor import BatchCase, BatchResult
 from repro.robustness.errors import ConfigurationError
 
-_log = get_logger("parallel.journal")
-
 JOURNAL_VERSION = 1
-
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON encoding (stable across runs and platforms).
-
-    Shared by the journal's content hashing and the job service's
-    design endpoint, whose byte-identity guarantee rests on this
-    encoding being the same everywhere.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
-
-
-#: Backwards-compatible private alias (pre-service name).
-_canonical = canonical_json
 
 
 def case_key(index: int, case: BatchCase) -> str:
@@ -79,7 +70,7 @@ def case_key(index: int, case: BatchCase) -> str:
         ],
         "options": asdict(case.options),
     }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def batch_fingerprint(keys: list[str]) -> str:
@@ -95,7 +86,7 @@ def result_digest(result: BatchResult) -> str:
     failures hash the error string.
     """
     if result.design is not None:
-        payload = _canonical(result.design.to_dict())
+        payload = canonical_json(result.design.to_dict())
     else:
         payload = result.error or ""
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -129,24 +120,7 @@ class BatchJournal:
                 f"journal {journal.path} does not exist",
                 context={"path": str(journal.path)},
             )
-        lines = journal.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    _log.warning(
-                        "journal %s: dropping torn tail line %d",
-                        journal.path,
-                        lineno,
-                    )
-                    continue
-                raise ConfigurationError(
-                    f"journal {journal.path} is corrupt at line {lineno}",
-                    context={"path": str(journal.path), "line": lineno},
-                )
+        for record in read_jsonl(journal.path):
             if record.get("kind") == "header":
                 journal._header = record
             elif record.get("kind") == "case":
@@ -176,14 +150,15 @@ class BatchJournal:
             "fingerprint": fingerprint,
             "cases": total_cases,
         }
-        self._flush()
+        header_line = json.dumps(self._header, sort_keys=True) + "\n"
+        atomic_write_text(self.path, header_line)
 
     # -- recording / restoring -----------------------------------------------
     def record(self, key: str, result: BatchResult) -> None:
         """Checkpoint one finished case (idempotent per key)."""
         if key in self._entries:
             return
-        self._entries[key] = {
+        entry = {
             "kind": "case",
             "key": key,
             "index": result.index,
@@ -195,7 +170,8 @@ class BatchJournal:
             "digest": result_digest(result),
             "payload": _encode_result(result),
         }
-        self._flush()
+        append_jsonl(self.path, [entry], fsync=True)
+        self._entries[key] = entry
 
     def completed_keys(self) -> set[str]:
         return set(self._entries)
@@ -217,17 +193,3 @@ class BatchJournal:
             **header,
             "completed": len(self._entries),
         }
-
-    # -- durability ----------------------------------------------------------
-    def _flush(self) -> None:
-        """Atomically rewrite the journal (tmp + ``os.replace``).
-
-        Entries are emitted in insertion order, header first, so the
-        on-disk file reads like the append log it logically is.
-        """
-        lines = []
-        if self._header is not None:
-            lines.append(json.dumps(self._header, sort_keys=True))
-        for entry in self._entries.values():
-            lines.append(json.dumps(entry, sort_keys=True))
-        atomic_write_text(self.path, "\n".join(lines) + "\n")

@@ -70,6 +70,7 @@ from repro.obs import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     TraceContext,
+    canonical_json,
     get_logger,
     new_trace_id,
     use_request_id,
@@ -80,7 +81,6 @@ from repro.parallel import (
     BatchSynthesizer,
     CircuitBreaker,
     SupervisorConfig,
-    canonical_json,
     case_key,
 )
 from repro.robustness.errors import ConfigurationError, InputError

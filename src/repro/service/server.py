@@ -76,6 +76,7 @@ from repro.obs import (
     SamplingProfiler,
     TimeSeriesStore,
     atomic_write_text,
+    canonical_json,
     default_service_slos,
     file_sink,
     get_logger,
@@ -86,7 +87,6 @@ from repro.obs import (
     stitch_spans,
     to_openmetrics,
 )
-from repro.parallel import canonical_json
 from repro.service.dashboard import dashboard_data, render_dashboard_html
 from repro.service.http import (
     HttpError,

@@ -7,16 +7,17 @@ is the **full current record** of one job at the moment of the write —
 a journal in the same family as
 :class:`~repro.parallel.journal.BatchJournal`:
 
-- the fast path *appends* one line per transition (write + flush +
-  ``fsync``), so a crash at any instant loses at most the torn tail
-  line the loader already tolerates;
+- the fast path *appends* one line per transition through the shared
+  :func:`~repro.obs.append_jsonl` log (write + flush + ``fsync``), so a
+  crash at any instant loses at most a torn tail line — which the
+  loader drops and the next append truncates away before writing;
 - compaction (startup and graceful drain) rewrites the file atomically
   (tmp + ``os.replace`` + fsync, via
   :func:`~repro.obs.atomic_write_text`) keeping only the latest line
   per job, so the file never grows without bound;
-- the loader folds lines in order, last write per ``job_id`` wins, and
-  a torn tail is dropped with a warning — mid-file corruption is an
-  error, not silent data loss.
+- the loader (:func:`~repro.obs.read_jsonl`) folds lines in order,
+  last write per ``job_id`` wins — mid-file corruption is an error,
+  not silent data loss.
 
 A restarted server calls :meth:`JobStore.load` and *re-adopts* the
 result: jobs that reached a terminal state are served from the store
@@ -42,16 +43,13 @@ canonical design JSON, the cheap cross-run byte-identity check.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs import atomic_write_text, get_logger
+from repro.obs import append_jsonl, atomic_write_text, read_jsonl
 from repro.robustness.errors import ConfigurationError
-
-_log = get_logger("service.store")
 
 STORE_VERSION = 1
 STORE_FILENAME = "jobs.jsonl"
@@ -195,31 +193,9 @@ class JobStore:
         because silently skipping completed jobs would resolve into
         duplicate solves.
         """
-        if not self.path.exists():
-            return {}
         jobs: dict[str, JobRecord] = {}
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    _log.warning(
-                        "job store %s: dropping torn tail line %d",
-                        self.path,
-                        lineno,
-                    )
-                    continue
-                raise ConfigurationError(
-                    f"job store {self.path} is corrupt at line {lineno}",
-                    context={"path": str(self.path), "line": lineno},
-                )
-            kind = record.get("kind")
-            if kind == "header":
-                continue
-            if kind == "job":
+        for record in read_jsonl(self.path):
+            if record.get("kind") == "job":
                 folded = JobRecord.from_line(record)
                 jobs[folded.job_id] = folded
         return jobs
@@ -227,20 +203,10 @@ class JobStore:
     # -- writing -------------------------------------------------------------
     def append(self, record: JobRecord) -> None:
         """Durably append ``record``'s current state (one JSONL line)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(
-                    json.dumps(
-                        {"kind": "header", "version": STORE_VERSION},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            handle.write(json.dumps(record.to_line(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        lines = [record.to_line()]
+        if not self.path.exists():
+            lines.insert(0, {"kind": "header", "version": STORE_VERSION})
+        append_jsonl(self.path, lines, fsync=True)
 
     def compact(self, jobs: dict[str, JobRecord]) -> None:
         """Atomically rewrite the journal as one line per job."""

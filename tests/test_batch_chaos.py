@@ -410,31 +410,6 @@ class TestJournalResume:
         with pytest.raises(ConfigurationError, match="different batch"):
             BatchSynthesizer(workers=1).run(other, journal=path)
 
-    def test_journal_tolerates_torn_tail_line(
-        self, tmp_path, network8, tour8
-    ):
-        path = tmp_path / "batch.jsonl"
-        cases = _cases(network8, tour8, 2)
-        BatchSynthesizer(workers=1).run(cases, journal=path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "case", "key": "torn')  # kill -9 artifact
-        journal = BatchJournal.load(path)
-        assert len(journal.completed_keys()) == 2
-        report = BatchSynthesizer(workers=1).run(cases, journal=path)
-        assert report.ok
-        assert report.supervisor["resumed"] == 2
-
-    def test_journal_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "batch.jsonl"
-        path.write_text(
-            '{"kind": "header", "fingerprint": "f", "version": 1}\n'
-            "this is not json\n"
-            '{"kind": "case", "key": "k", "payload": ""}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ConfigurationError, match="corrupt"):
-            BatchJournal.load(path)
-
     def test_record_is_idempotent_per_key(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
         journal.begin("fp", 1)
@@ -456,16 +431,3 @@ class TestJournalResume:
         keys = [case_key(0, a), case_key(1, b)]
         assert batch_fingerprint(keys) != batch_fingerprint(keys[::-1])
 
-
-class TestUnsupervisedBrokenPool:
-    def test_broken_pool_degrades_to_case_failures(self, network8):
-        """The legacy executor path must never lose the batch to a dead
-        worker: broken futures become per-case failures."""
-        cases = [_pill_case(network8, "pill0"), _pill_case(network8, "pill1")]
-        report = BatchSynthesizer(workers=2, supervised=False).run(cases)
-        assert len(report.results) == 2
-        assert [r.label for r in report.results] == ["pill0", "pill1"]
-        assert not report.ok
-        assert all(
-            r.error_type == "BrokenProcessPool" for r in report.results
-        )

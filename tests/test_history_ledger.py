@@ -1,11 +1,12 @@
 """Tests for the cross-run history ledger (repro.obs.history).
 
 The ledger is the substrate ``xring regress`` / ``xring report`` stand
-on, so these tests pin down its durability contract: content
-fingerprints are timestamp-free (identical runs share them), appends
-are atomic full rewrites, a torn tail line from a foreign writer is
-dropped with a warning while torn *interior* lines still raise, and
-run-id lookup accepts unique prefixes but rejects ambiguous ones.
+on, so these tests pin down its contract: content fingerprints are
+timestamp-free (identical runs share them), every append lands as one
+complete JSON object per line, and run-id lookup accepts unique
+prefixes but rejects ambiguous ones.  Torn-tail and interior-corruption
+handling is shared with the other JSONL logs and tested once for all
+of them in ``tests/test_store_durability.py``.
 """
 
 from __future__ import annotations
@@ -145,21 +146,6 @@ class TestRunLedger:
         with pytest.raises(ValueError, match="ambiguous"):
             ledger.get("synth-")
         assert ledger.get("no-such-run") is None
-
-    def test_torn_tail_is_dropped_torn_middle_raises(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.append(_record("a"))
-        ledger.append(_record("b", wall_s=2.0))
-        with open(ledger.path, "a", encoding="utf-8") as handle:
-            handle.write('{"version": 1, "run_id": "torn')  # no newline
-        assert [r.label for r in ledger.entries()] == ["a", "b"]
-
-        torn_middle = ledger.path.read_text(encoding="utf-8")
-        ledger.path.write_text(
-            '{"broken\n' + torn_middle.split("{", 1)[1], encoding="utf-8"
-        )
-        with pytest.raises(json.JSONDecodeError):
-            ledger.entries()
 
     def test_missing_ledger_is_empty(self, tmp_path):
         assert RunLedger(tmp_path / "nowhere").entries() == []

@@ -159,23 +159,6 @@ class TestJobStore:
         assert loaded["aaaa"].state == "done"
         assert loaded["aaaa"].digest == "abc"
 
-    def test_torn_tail_dropped(self, tmp_path):
-        store = JobStore(tmp_path)
-        store.append(self._record("aaaa", state="done"))
-        with open(store.path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "job", "job_id": "bbbb", "sta')
-        loaded = JobStore(tmp_path).load()
-        assert list(loaded) == ["aaaa"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        store = JobStore(tmp_path)
-        store.append(self._record("aaaa", state="done"))
-        with open(store.path, "a", encoding="utf-8") as handle:
-            handle.write("NOT JSON\n")
-            handle.write(json.dumps(self._record("bbbb").to_line()) + "\n")
-        with pytest.raises(ConfigurationError, match="corrupt"):
-            JobStore(tmp_path).load()
-
     def test_unknown_state_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown job state"):
             JobRecord.from_line({"kind": "job", "job_id": "x", "state": "zombie"})

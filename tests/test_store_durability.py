@@ -1,6 +1,7 @@
-"""Crash-consistency and durability suite for the L2 synthesis cache.
+"""Crash-consistency and durability suite for the L2 synthesis cache
+and the JSONL logs.
 
-Four layers:
+Five layers:
 
 - :class:`PersistentStore` unit tests: atomic-write discipline, torn
   writes injected through :class:`FaultPlan`, bit-flip quarantine,
@@ -11,20 +12,31 @@ Four layers:
 - worker cache-stat truthfulness: ``--workers N`` batch reports fold
   the per-worker cache hit/miss deltas into ``report.cache_stats``;
 - service warm restart: a second server life on a *different* job
-  store but the same ``cache_dir`` serves a repeated POST from the L2.
+  store but the same ``cache_dir`` serves a repeated POST from the L2;
+- the shared torn-tail-safe JSONL log, one battery parametrized over
+  its four users (job store, batch journal, run ledger, time series):
+  torn tails are dropped and never glue onto the next append, interior
+  garbage raises, and the on-disk bytes match the earlier writers.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import re
 
 import pytest
 
 from repro.core.synthesizer import SynthesisOptions
+from repro.obs import RunLedger, RunRecord, TimeSeriesStore, read_jsonl
 from repro.parallel import (
     BatchCase,
+    BatchJournal,
+    BatchResult,
     BatchSynthesizer,
     PersistentStore,
+    case_key,
     clear_caches,
     configure_l2,
     get_cache,
@@ -35,7 +47,9 @@ from repro.parallel.store import (
     QUARANTINE_DIRNAME,
     counter_metric_name,
 )
+from repro.robustness.errors import ConfigurationError
 from repro.robustness.faults import FaultPlan
+from repro.service.store import JobRecord, JobStore
 
 from tests.test_service import LiveServer, slow_spec
 
@@ -325,3 +339,243 @@ class TestServiceWarmRestart:
             second.stop()
         finally:
             clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the shared JSONL log under the job store, journal, ledger and time series
+# ---------------------------------------------------------------------------
+#: The on-disk bytes of each log for one fixed input.  Logs already on
+#: disk must keep loading, so the reader must load these bytes and the
+#: writer must reproduce them.
+PARENT_JOBSTORE = (
+    b'{"kind": "header", "version": 1}\n'
+    b'{"attempts": 0, "created_unix": 1.0, "dedup_hits": 0, "degraded": false, '
+    b'"digest": "", "elapsed_s": 0.0, "error": null, "error_type": "", '
+    b'"failure_history": [], "fallbacks": [], "job_id": "j0", "key": "k0", '
+    b'"kind": "job", "label": "", "request_id": "", "result": null, '
+    b'"resumed": false, "runs": 0, "spec": {"nodes": 8}, "state": "queued", '
+    b'"trace": null, "trace_id": "", "updated_unix": 2.0}\n'
+)
+PARENT_JOURNAL = (
+    b'{"cases": 1, "fingerprint": "fp", "kind": "header", "version": 1}\n'
+    b'{"attempts": 1, "digest": '
+    b'"81f52337ebb4cb1669bb802c708807dde0519d15cb102a6313d26ad5cd821713", '
+    b'"error": "boom", "index": 0, "key": "k0", "kind": "case", "label": "c0", '
+    b'"ok": false, "payload": "eJwtjzFPxDAMhVtEr3A3MPMPYKn4DUiI4SQGdlSliblGpElw'
+    b"HKADEmwgecP8X9KKN9nS8/ueP5rftq5W8TlCxNBFhco5cF3KEfDFpoDCu2tFeryHlB3Jj1x+"
+    b"yrtccGO9gTfZV9w4NYATPtJXwhsDyR683HEDiMv58RDCJHwKTsUEpk9yW/2L2wkIrU4lkbev"
+    b"AZ8A+2jNknqiiGCKlGRf89mjsi4j9KNNFHCWh1LrOZe2nqwHI9+8s54KMUda1+1K72mOIFzf"
+    b'FD4W1KwGB/LFLZZvptW40UqPy5SH7g+z42hD", "quarantined": false}\n'
+)
+PARENT_LEDGER = (
+    b'{"cache": {}, "created_at": "2026-01-01T00:00:00Z", "env": {}, '
+    b'"extra": {}, "fingerprint": "f0", "kind": "synth", "label": "r0", '
+    b'"options_hash": "", "quality": {}, "run_id": "synth-0", "solver": {}, '
+    b'"stage_latency": {}, "supervisor": {}, "version": 1, "wall_s": 1.5}\n'
+)
+PARENT_TIMESERIES = (
+    b'{"counters": {"c": 0}, "gauges": {"g": 0.5}, '
+    b'"histograms": {"h": {"sum": 0.25, "total": 1}}, "t": 0.0}\n'
+)
+
+
+class _JobStoreLog:
+    parent_bytes = PARENT_JOBSTORE
+
+    def __init__(self, root):
+        self.store = JobStore(root / "jobs")
+        self.path = self.store.path
+
+    def append(self, i):
+        self.store.append(
+            JobRecord(
+                job_id=f"j{i}",
+                key=f"k{i}",
+                spec={"nodes": 8},
+                created_unix=1.0,
+                updated_unix=2.0,
+            )
+        )
+
+    def records(self):
+        loaded = JobStore(self.store.directory).load()
+        return [record.to_line() for record in loaded.values()]
+
+
+class _JournalLog:
+    parent_bytes = PARENT_JOURNAL
+
+    def __init__(self, root):
+        self.path = root / "batch.jsonl"
+
+    def append(self, i):
+        journal = (
+            BatchJournal.load(self.path)
+            if self.path.exists()
+            else BatchJournal(self.path)
+        )
+        journal.begin("fp", 1)
+        journal.record(
+            f"k{i}", BatchResult(index=i, label=f"c{i}", error="boom", error_type="E")
+        )
+
+    def records(self):
+        return list(BatchJournal.load(self.path)._entries.values())
+
+
+class _LedgerLog:
+    parent_bytes = PARENT_LEDGER
+
+    def __init__(self, root):
+        self.ledger = RunLedger(root / "history")
+        self.path = self.ledger.path
+
+    def append(self, i):
+        self.ledger.append(
+            RunRecord(
+                run_id=f"synth-{i}",
+                kind="synth",
+                label=f"r{i}",
+                created_at="2026-01-01T00:00:00Z",
+                fingerprint=f"f{i}",
+                wall_s=1.5,
+            )
+        )
+
+    def records(self):
+        return [record.to_dict() for record in self.ledger.entries()]
+
+
+class _TimeSeriesLog:
+    parent_bytes = PARENT_TIMESERIES
+
+    def __init__(self, root):
+        self.path = root / "timeseries.jsonl"
+
+    def append(self, i):
+        store = TimeSeriesStore(capacity=4, persist_path=self.path)
+        histogram = {"total": 1, "sum": 0.25, "buckets": [1.0], "counts": [1, 0]}
+        store.observe(
+            {
+                "counters": {"c": i},
+                "gauges": {"g": 0.5},
+                "histograms": {"h": histogram},
+            },
+            now=float(i),
+        )
+
+    def records(self):
+        return read_jsonl(self.path)
+
+
+@pytest.fixture(
+    params=[_JobStoreLog, _JournalLog, _LedgerLog, _TimeSeriesLog],
+    ids=["jobstore", "journal", "ledger", "timeseries"],
+)
+def log(request, tmp_path):
+    return request.param(tmp_path)
+
+
+def _tear(path):
+    """Simulate ``kill -9`` mid-append: a record cut before its newline."""
+    with open(path, "ab") as handle:
+        handle.write(b'{"kind": "case", "key": "torn", "state": "runn')
+
+
+class TestJsonlLogDurability:
+    def test_torn_tail_is_dropped(self, log, caplog, monkeypatch):
+        log.append(0)
+        log.append(1)
+        before = log.records()
+        lines = len(log.path.read_bytes().splitlines())
+        _tear(log.path)
+        # configure_logging (run by earlier CLI tests) stops "repro"
+        # records from reaching the root logger caplog listens on.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert log.records() == before
+        assert str(log.path) in caplog.text
+        assert f"torn tail line {lines + 1}" in caplog.text
+
+    def test_torn_tail_then_two_appends_keeps_every_record(self, log):
+        log.append(0)
+        log.append(1)
+        before = log.records()
+        _tear(log.path)
+        log.append(2)
+        log.append(3)
+        after = log.records()
+        assert len(after) == 4 and after[:2] == before
+        assert b"torn" not in log.path.read_bytes()
+
+    def test_interior_garbage_raises_naming_the_line(self, log):
+        log.append(0)
+        bad_line = len(log.path.read_bytes().splitlines()) + 1
+        with open(log.path, "ab") as handle:
+            handle.write(b"NOT JSON\n")
+        log.append(1)
+        with pytest.raises(ConfigurationError, match=f"corrupt at line {bad_line}"):
+            log.records()
+
+    def test_parent_format_loads_to_the_same_records(self, log):
+        log.path.parent.mkdir(parents=True, exist_ok=True)
+        log.path.write_bytes(log.parent_bytes)
+        expected = [
+            json.loads(line)
+            for line in log.parent_bytes.decode("utf-8").splitlines()
+            if json.loads(line).get("kind") != "header"
+        ]
+        assert log.records() == expected
+
+    def test_writer_reproduces_the_parent_bytes(self, log):
+        log.append(0)
+        # zlib builds may compress the pickled journal payload
+        # differently; every other byte must match.
+        payload = re.compile(rb'"payload": "[^"]*"')
+        assert payload.sub(b"", log.path.read_bytes()) == payload.sub(
+            b"", log.parent_bytes
+        )
+
+
+def test_journal_resume_after_torn_tail(tmp_path, fresh_cache, network8):
+    """A resumed batch restores every case checkpointed before the
+    kill and its own appends land after the dropped torn tail."""
+    path = tmp_path / "batch.jsonl"
+    cases = [_heuristic_case(network8, f"c{i}", wl_budget=4 + i) for i in range(2)]
+    BatchSynthesizer(workers=1).run(cases, journal=path)
+    _tear(path)
+    assert len(BatchJournal.load(path).completed_keys()) == 2
+    report = BatchSynthesizer(workers=1).run(cases, journal=path)
+    assert report.ok
+    assert report.supervisor["resumed"] == 2
+
+
+class TestCanonicalDigests:
+    """Content hashes keyed off :func:`repro.obs.canonical_json` must keep
+    their values: journals, L2 entries and ledgers on disk are keyed by
+    them."""
+
+    def test_case_key_is_pinned(self, network8):
+        case = BatchCase(
+            network=network8, options=SynthesisOptions(wl_budget=8), label="pin"
+        )
+        assert case_key(0, case) == (
+            "685c5b2d4fe80169da8e49e05d6150db25f28283483171940d798d91cb691d62"
+        )
+
+    def test_run_record_fingerprints_are_pinned(self):
+        record = RunRecord.build(
+            "synth",
+            "pin",
+            env={"python": "3"},
+            options={"wl": 8},
+            wall_s=1.25,
+            quality={"il_w": 2.5},
+            extra={"cases": 1},
+        )
+        assert record.fingerprint == (
+            "f1582593eb292e22f00ca8825c098ed1c37fe84885b50a5e2382aaac27139219"
+        )
+        assert record.options_hash == (
+            "f34c5afb5d7a854889cb2a726a2b4139fbd6e67c6d55977803b3d205f3d1bbbd"
+        )

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, TimeSeriesStore, read_series_file
+from repro.obs import MetricsRegistry, TimeSeriesStore, read_jsonl
 from repro.obs.timeseries import _quantile_from_counts
 
 
@@ -150,7 +150,7 @@ class TestPersistence:
             store.observe(_snapshot(done=i, latencies=(0.5,)), now=float(i))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')  # simulated crash mid-append
-        rows = list(read_series_file(path))
+        rows = read_jsonl(path)
         assert len(rows) == 3
         assert rows[-1]["counters"]["service.jobs.done"] == 2
         hist = rows[-1]["histograms"]["service.job_latency_s"]

@@ -221,20 +221,6 @@ class TestWorkerStitching:
         stitched = _tree_check(report.span_records)
         assert stitched["trace_id"] == "c" * 32
 
-    def test_unsupervised_pool_traces_stitch(self, network8, tour8):
-        """The journal/fault-free fast path (no supervisor) must yield
-        the same connected shape."""
-        report = BatchSynthesizer(
-            workers=2, collect_spans=True, supervised=False
-        ).run(_cases(network8, tour8, 3))
-        assert report.ok
-        stitched = _tree_check(report.span_records)
-        prefixes = {
-            r["span_uid"].split(":")[0] for r in report.span_records
-        }
-        assert prefixes == {"c0.a1", "c1.a1", "c2.a1"}
-        assert stitched["trace_id"]
-
     def test_crash_retry_spans_stitch_as_siblings(self, network8, tour8):
         """A crashed first attempt loses its worker-side spans, but the
         supervisor's attempt records keep the tree connected and the
