@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -43,6 +44,8 @@ from repro.parallel import clear_caches, get_cache
 QUICK_SIZES = (8, 16)
 FULL_SIZES = (8, 16, 32)
 METHODS = ("milp", "heuristic")
+#: Repeats of the N=64 shortcut-stage timing in the lazy-conflicts arm.
+SHORTCUT_RUNS = 5
 
 
 def _timed(fn, *args, **kwargs):
@@ -224,9 +227,13 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
     constraint-(3) row materialized) takes upwards of ten minutes,
     which is precisely what the cutting-plane loop eliminates.  The
     lazy wall clock is the headline figure: it must stay under the
-    eager N=32 synthesis time recorded by ``stages``.
+    eager N=32 synthesis time recorded by ``stages``.  The shortcut
+    stage, the largest share of that wall clock, is then re-run alone
+    on the synthesized tour ``SHORTCUT_RUNS`` times and reported as
+    median and interquartile range.
     """
     from repro.core.ring import construct_ring_tour
+    from repro.core.shortcuts import select_shortcuts
     from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
     from repro.geometry import (
         build_edge_conflicts_bulk,
@@ -257,6 +264,18 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
         design, t_lazy = _timed(synth.run)
     cut_rounds = metrics.counter("ring.lazy.rounds").value
     cuts_added = metrics.counter("ring.lazy.cuts_added").value
+
+    shortcut_runs = []
+    for _ in range(SHORTCUT_RUNS):
+        _, seconds = _timed(
+            select_shortcuts,
+            design.tour,
+            loss=synth.options.loss,
+            selection=synth.options.shortcut_selection,
+            demands=network.demands(),
+        )
+        shortcut_runs.append(seconds)
+    q1, median, q3 = statistics.quantiles(shortcut_runs, n=4, method="inclusive")
 
     clear_caches()
     _, t_eager_ring_ref = _timed(
@@ -291,6 +310,14 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
         ),
         "cut_rounds": cut_rounds,
         "cuts_added": cuts_added,
+        "shortcuts_stage": {
+            "runs": SHORTCUT_RUNS,
+            "median_s": round(median, 4),
+            "iqr_s": round(q3 - q1, 4),
+            "samples_s": [round(t, 4) for t in shortcut_runs],
+            "selected": len(design.shortcut_plan.shortcuts),
+            "cpu_count": os.cpu_count(),
+        },
         "tour_length_mm": round(design.tour.length_mm, 4),
         "tour_crossings": design.tour.crossing_count,
     }
@@ -428,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         f" total={lazy['lazy_total_s']}s"
         f" bulk-build={lazy['conflict_build_bulk_s']}s"
         f" rounds={lazy['cut_rounds']} cuts={lazy['cuts_added']}"
+        f" shortcuts={lazy['shortcuts_stage']['median_s']}s"
+        f" (IQR {lazy['shortcuts_stage']['iqr_s']}s,"
+        f" {lazy['shortcuts_stage']['runs']} runs)"
         f" | ring eager/lazy @N={lazy['scalar_ref_nodes']}:"
         f" {lazy['ring_eager_ref_s']}s/{lazy['ring_lazy_ref_s']}s"
     )

@@ -115,17 +115,23 @@ class BenchServer:
             return json.loads(resp.read())
 
     def wait_all_terminal(self, job_ids: list[str], timeout: float = 600.0):
+        """Poll until every distinct job is done or failed.
+
+        A resubmission returns the existing job's id, so ``job_ids``
+        may repeat one; the wait is over the distinct ids.
+        """
+        pending = list(dict.fromkeys(job_ids))
         statuses = {}
         deadline = time.monotonic() + timeout
-        while len(statuses) < len(job_ids) and time.monotonic() < deadline:
-            for job_id in job_ids:
-                if job_id in statuses:
-                    continue
+        while pending and time.monotonic() < deadline:
+            for job_id in pending:
                 payload = self.get_json(f"/jobs/{job_id}")
                 if payload["state"] in ("done", "failed"):
                     statuses[job_id] = payload
-            time.sleep(0.01)
-        if len(statuses) < len(job_ids):
+            pending = [job_id for job_id in pending if job_id not in statuses]
+            if pending:
+                time.sleep(0.01)
+        if pending:
             raise RuntimeError("benchmark jobs never finished")
         return statuses
 

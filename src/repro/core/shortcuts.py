@@ -17,6 +17,7 @@ greedily by gain, subject to:
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from repro.geometry import (
@@ -195,6 +196,12 @@ class _ChordMaze:
     more bends than an L or a staircase.  The maze router finds a
     near-shortest one; its real routed length (not the Manhattan
     distance) then feeds the gain function.
+
+    Grid vertex ``(ix, iy)`` has the flat id ``ix * ny + iy`` (so heap
+    ties break exactly as on the coordinate tuple), and the undirected
+    grid edge leaving vertex ``v`` towards +x / +y has the key
+    ``2 * v`` / ``2 * v + 1``.  Blocked edges are a ``bytearray`` over
+    those keys.
     """
 
     _PITCH = 0.2
@@ -209,34 +216,29 @@ class _ChordMaze:
         self.y0 = min(ys) - margin
         self.nx = int(round((max(xs) - min(xs) + 2 * margin) / self._PITCH)) + 1
         self.ny = int(round((max(ys) - min(ys) + 2 * margin) / self._PITCH)) + 1
-        # Vertex coordinate tables share the exact expression of
-        # ``_vertex_point`` so scalar lookups in the A* inner loop are
-        # bit-identical to constructing the Point.
+        # Vertex coordinate tables: every comparison against a vertex
+        # position reads these same floats.
         self._xc = [self.x0 + i * self._PITCH for i in range(self.nx)]
         self._yc = [self.y0 + j * self._PITCH for j in range(self.ny)]
-        self._blocked = self._block_ring_edges()
-        self._blocked_keys = {self._edge_key(e) for e in self._blocked}
-
-    def _vertex_point(self, v: tuple[int, int]) -> Point:
-        return Point(self._xc[v[0]], self._yc[v[1]])
-
-    def _edge_key(self, edge: frozenset[tuple[int, int]]) -> int:
-        """Integer id of an undirected grid edge (hashes cheaper than
-        the frozenset in the A* hot loop)."""
-        v, w = sorted(edge)
-        return (v[0] * self.ny + v[1]) * 2 + (0 if w[0] > v[0] else 1)
+        self._blocked = bytearray(2 * self.nx * self.ny)
+        self.block(self._blocked, tour.edge_paths)
 
     def _snap(self, p: Point) -> tuple[int, int]:
         ix = min(max(int(round((p.x - self.x0) / self._PITCH)), 0), self.nx - 1)
         iy = min(max(int(round((p.y - self.y0) / self._PITCH)), 0), self.ny - 1)
         return (ix, iy)
 
-    def _block_ring_edges(self) -> set[frozenset[tuple[int, int]]]:
-        """Grid edges that intersect any ring segment."""
-        return self.blocked_by_paths(self.tour.edge_paths)
+    def ring_obstacles(self) -> bytearray:
+        """A fresh copy of the ring's blocked-edge table."""
+        return bytearray(self._blocked)
 
-    def blocked_by_paths(self, paths) -> set[frozenset[tuple[int, int]]]:
-        """Grid edges intersecting any segment of the given paths.
+    def block(self, table: bytearray, paths) -> None:
+        """Mark in ``table`` every grid edge that ``paths`` touch."""
+        for key in self.blocked_by_paths(paths):
+            table[key] = 1
+
+    def blocked_by_paths(self, paths) -> set[int]:
+        """Keys of the grid edges intersecting any segment of ``paths``.
 
         A grid edge is blocked on *any* non-disjoint interaction with a
         path segment — exactly the illegality predicate of the bulk
@@ -248,7 +250,6 @@ class _ChordMaze:
 
         from repro.geometry.conflicts_bulk import _segments_illegal
 
-        blocked: set[frozenset[tuple[int, int]]] = set()
         pitch = self._PITCH
         gx_parts: list[np.ndarray] = []
         gy_parts: list[np.ndarray] = []
@@ -279,114 +280,126 @@ class _ChordMaze:
                     dy_parts.append(np.full(gx.shape[0], dy, dtype=np.int64))
                     s2_parts.append(np.broadcast_to(s2, (gx.shape[0], 4)))
         if not gx_parts:
-            return blocked
+            return set()
         gx = np.concatenate(gx_parts)
         gy = np.concatenate(gy_parts)
         dxs = np.concatenate(dx_parts)
         dys = np.concatenate(dy_parts)
-        # Vertex coordinates via the same arithmetic as
-        # ``_vertex_point`` so comparisons are bit-identical.
+        # Vertex coordinates via the same arithmetic as the coordinate
+        # tables, so comparisons are bit-identical.
         s1 = np.empty((gx.shape[0], 4), dtype=np.float64)
         s1[:, 0] = self.x0 + gx * pitch
         s1[:, 1] = self.y0 + gy * pitch
         s1[:, 2] = self.x0 + (gx + dxs) * pitch
         s1[:, 3] = self.y0 + (gy + dys) * pitch
         hit = _segments_illegal(s1, np.concatenate(s2_parts, axis=0), ())
-        for k in np.nonzero(hit)[0].tolist():
-            v = (int(gx[k]), int(gy[k]))
-            w = (v[0] + int(dxs[k]), v[1] + int(dys[k]))
-            blocked.add(frozenset((v, w)))
-        return blocked
+        keys = (gx * self.ny + gy) * 2 + dys
+        return set(keys[hit].tolist())
+
+    def _near_terminals(self, *terminals: Point) -> set[int]:
+        """Flat ids of the vertices within 0.45 mm (Manhattan) of a
+        terminal; edges touching them ignore the obstacles."""
+        xc, yc, ny = self._xc, self._yc, self.ny
+        reach = int(0.45 / self._PITCH) + 2
+        near: set[int] = set()
+        for p in terminals:
+            cx, cy = self._snap(p)
+            for ix in range(max(cx - reach, 0), min(cx + reach + 1, self.nx)):
+                dx = abs(xc[ix] - p.x)
+                for iy in range(max(cy - reach, 0), min(cy + reach + 1, ny)):
+                    if dx + abs(yc[iy] - p.y) <= 0.45:
+                        near.add(ix * ny + iy)
+        return near
 
     def chord(
         self,
         pa: Point,
         pb: Point,
-        extra_blocked: set[frozenset[tuple[int, int]]] | None = None,
+        blocked: bytearray | None = None,
+        max_cost: float = float("inf"),
     ) -> RectilinearPath | None:
         """A near-shortest crossing-free chord from ``pa`` to ``pb``.
 
-        Grid edges within half a pitch of an endpoint are unblocked so
-        the chord can leave/enter the node where it sits on the ring.
-        ``extra_blocked`` adds obstacles (e.g. already-selected
-        shortcuts the new chord must not cross).
+        Grid edges within 0.45 mm of an endpoint are unblocked so the
+        chord can leave/enter the node where it sits on the ring.
+        ``blocked`` replaces the ring-only obstacle table, e.g. with one
+        that also holds already-selected shortcuts the new chord must
+        not cross (see :meth:`ring_obstacles` and :meth:`block`).  The
+        search gives up — returning
+        ``None`` — once the cheapest open grid path would cost more
+        than ``max_cost``.
         """
-        import heapq
-
-        blocked_keys = (
-            self._blocked_keys
-            if not extra_blocked
-            else self._blocked_keys | {self._edge_key(e) for e in extra_blocked}
-        )
-        start, goal = self._snap(pa), self._snap(pb)
-        if start == goal:
+        if blocked is None:
+            blocked = self._blocked
+        (sx, sy), (gx, gy) = self._snap(pa), self._snap(pb)
+        if (sx, sy) == (gx, gy):
             return None
-
-        xc, yc, ny, pitch = self._xc, self._yc, self.ny, self._PITCH
-        near_memo: dict[tuple[int, int], bool] = {}
-
-        def near_terminal(v: tuple[int, int]) -> bool:
-            cached = near_memo.get(v)
-            if cached is None:
-                x, y = xc[v[0]], yc[v[1]]
-                cached = (
-                    abs(x - pa.x) + abs(y - pa.y) <= 0.45
-                    or abs(x - pb.x) + abs(y - pb.y) <= 0.45
-                )
-                near_memo[v] = cached
-            return cached
-
-        best = {start: 0.0}
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-        gpx, gpy = xc[goal[0]], yc[goal[1]]
-        heap = [(abs(xc[start[0]] - gpx) + abs(yc[start[1]] - gpy), start)]
+        nx, ny, pitch = self.nx, self.ny, self._PITCH
+        xc, yc = self._xc, self._yc
+        start, goal = sx * ny + sy, gx * ny + gy
+        near = self._near_terminals(pa, pb)
+        # Manhattan heuristic, one table per axis: h(v) = hx[ix] + hy[iy].
+        hx = [abs(x - xc[gx]) for x in xc]
+        hy = [abs(y - yc[gy]) for y in yc]
         inf = float("inf")
-        found = False
+        best = [inf] * (nx * ny)
+        parent = [-1] * (nx * ny)
+        best[start] = 0.0
+        heap = [(hx[sx] + hy[sy], start)]
+        top = (nx - 1) * ny
         while heap:
-            _, v = heapq.heappop(heap)
+            f, v = heapq.heappop(heap)
             if v == goal:
-                found = True
                 break
-            vx, vy = v
-            base = (vx * ny + vy) * 2
-            # Neighbor edge keys follow the lower-vertex + orientation
-            # encoding of ``_edge_key``.
-            for w, key in (
-                ((vx + 1, vy), base),
-                ((vx - 1, vy), base - 2 * ny),
-                ((vx, vy + 1), base + 1),
-                ((vx, vy - 1), base - 1),
+            if f > max_cost:
+                return None
+            vx, vy = divmod(v, ny)
+            cost = best[v] + pitch
+            v_near = v in near
+            base = 2 * v
+            # Neighbor order (+x, -x, +y, -y) and edge keys as in the
+            # class docstring.
+            if v < top and not (
+                blocked[base] and not (v_near or v + ny in near)
             ):
-                if not (0 <= w[0] < self.nx and 0 <= w[1] < ny):
-                    continue
-                if key in blocked_keys and not (
-                    near_terminal(v) or near_terminal(w)
-                ):
-                    continue
-                cost = best[v] + pitch
-                if cost < best.get(w, inf):
+                w = v + ny
+                if cost < best[w]:
                     best[w] = cost
                     parent[w] = v
-                    heapq.heappush(
-                        heap,
-                        (cost + abs(xc[w[0]] - gpx) + abs(yc[w[1]] - gpy), w),
-                    )
-        if not found:
+                    heapq.heappush(heap, (cost + hx[vx + 1] + hy[vy], w))
+            if v >= ny and not (
+                blocked[base - 2 * ny] and not (v_near or v - ny in near)
+            ):
+                w = v - ny
+                if cost < best[w]:
+                    best[w] = cost
+                    parent[w] = v
+                    heapq.heappush(heap, (cost + hx[vx - 1] + hy[vy], w))
+            if vy < ny - 1 and not (
+                blocked[base + 1] and not (v_near or v + 1 in near)
+            ):
+                w = v + 1
+                if cost < best[w]:
+                    best[w] = cost
+                    parent[w] = v
+                    heapq.heappush(heap, (cost + hx[vx] + hy[vy + 1], w))
+            if vy > 0 and not (
+                blocked[base - 1] and not (v_near or v - 1 in near)
+            ):
+                w = v - 1
+                if cost < best[w]:
+                    best[w] = cost
+                    parent[w] = v
+                    heapq.heappush(heap, (cost + hx[vx] + hy[vy - 1], w))
+        else:
             return None
         vertices = [goal]
-        v = goal
-        while v in parent:
-            v = parent[v]
-            vertices.append(v)
+        while vertices[-1] != start:
+            vertices.append(parent[vertices[-1]])
         vertices.reverse()
-        points = [pa]
-        first = self._vertex_point(vertices[0])
-        points.append(Point(pa.x, first.y))
-        for v in vertices:
-            points.append(self._vertex_point(v))
-        last = self._vertex_point(vertices[-1])
-        points.append(Point(pb.x, last.y))
-        points.append(pb)
+        corners = [Point(xc[v // ny], yc[v % ny]) for v in vertices]
+        points = [pa, Point(pa.x, corners[0].y), *corners]
+        points += [Point(pb.x, corners[-1].y), pb]
         return _simplify(points)
 
 
@@ -416,6 +429,19 @@ def _ring_gain(tour: RingTour, node_a: int, node_b: int, chord_mm: float) -> flo
     return best_ring - chord_mm
 
 
+#: Slack of the capped maze search over the ring arc, in grid pitches.
+#: The routed chord is the grid path plus a stub at each end (from the
+#: node to its snapped vertex: at most half a pitch per axis), then
+#: simplified.  Simplification only drops collinear vertices, and the
+#: grid path of a shortest search never reverses, so the one length it
+#: can remove is a stub overshoot: at most ``2 * pitch/2`` per end, of
+#: which the stub itself paid back ``pitch/2``.  Hence
+#: ``chord >= grid - pitch``, and a grid path costing more than
+#: ``best_ring + pitch`` yields a chord with negative gain — which
+#: selection rejects anyway.  One more pitch absorbs float rounding.
+_CAP_PITCHES = 2
+
+
 def select_shortcuts(
     tour: RingTour,
     *,
@@ -424,6 +450,7 @@ def select_shortcuts(
     loss=None,
     selection: str = "gain",
     demands: tuple[tuple[int, int], ...] | None = None,
+    deadline=None,
 ) -> ShortcutPlan:
     """Greedy gain-driven shortcut selection with CSE merging.
 
@@ -441,7 +468,18 @@ def select_shortcuts(
     pair first — attacks the worst-case path directly; exposed for the
     ablation study).  ``demands`` restricts candidates and served pairs
     to actual communication demands (``None`` means all-to-all, the
-    paper's traffic).
+    paper's traffic).  ``deadline`` (a
+    :class:`~repro.robustness.deadline.Deadline`) is polled once per
+    candidate, so a budget can interrupt the stage midway.
+
+    The greedy pass is lazy.  No rectilinear chord is shorter than the
+    Manhattan distance, so ``min(cw, ccw) - manhattan`` bounds a pair's
+    gain from above; pairs sit in a heap keyed by that bound and are
+    routed only when they reach the top, then pushed back with their
+    exact gain.  A pair popped with its exact gain therefore outranks
+    every pair still in the heap, which is the order a full sort of the
+    routed candidates would give, so the plan is the same as routing
+    every pair first.
     """
     if selection not in ("gain", "ring_length"):
         raise ConfigurationError(
@@ -452,83 +490,105 @@ def select_shortcuts(
         return plan
 
     n = tour.size
+    points = tour.points
     demand_set = set(demands) if demands is not None else None
-    maze: _ChordMaze | None = None
     ring_set = SegmentSet.from_paths(tour.edge_paths)
-    candidates: list[tuple[float, int, int, list[RectilinearPath]]] = []
-    gain_evaluations = 0
+    maze: _ChordMaze | None = None
+
+    def best_ring(node_a: int, node_b: int) -> float:
+        return min(tour.cw_distance(node_a, node_b), tour.ccw_distance(node_a, node_b))
+
+    def route(node_a: int, node_b: int) -> list[RectilinearPath] | None:
+        """The pair's chord realizations (L, staircase, else maze)."""
+        nonlocal maze
+        realizations = _feasible_realizations(tour, node_a, node_b, ring_set)
+        if realizations:
+            return realizations
+        # No straight chord exists; a maze-routed one always does (the
+        # ring interior is connected) — try it when the pair stands to
+        # gain substantially.
+        ring = best_ring(node_a, node_b)
+        if ring - points[node_a].manhattan(points[node_b]) < 0.25 * ring:
+            return None
+        if maze is None:
+            maze = _ChordMaze(tour)
+        chord = maze.chord(
+            points[node_a],
+            points[node_b],
+            max_cost=ring + _CAP_PITCHES * maze._PITCH,
+        )
+        if chord is None or not _chord_is_clean(
+            tour, chord, points[node_a], points[node_b], ring_set
+        ):
+            return None
+        return [chord]
+
+    # Heap entries: (policy key, -gain or -bound, a, b, realizations),
+    # where realizations is None until the pair is routed.  The policy
+    # key is 0 under "gain" and -min(cw, ccw) under "ring_length"; the
+    # (a, b) tie-break matches a stable sort over pairs in index order.
+    # The bound carries 1e-9 of slack so float rounding in a realized
+    # length can never push the exact gain above it.
+    heap = []
     for node_a in range(n):
         for node_b in range(node_a + 1, n):
             if demand_set is not None and not (
                 (node_a, node_b) in demand_set or (node_b, node_a) in demand_set
             ):
                 continue
-            realizations = _feasible_realizations(
-                tour, node_a, node_b, ring_set
-            )
-            if not realizations:
-                # No straight chord exists; a maze-routed one always
-                # does (the ring interior is connected) — try it when
-                # the pair stands to gain substantially.
-                best_ring = min(
-                    tour.cw_distance(node_a, node_b),
-                    tour.ccw_distance(node_a, node_b),
-                )
-                manhattan = tour.points[node_a].manhattan(tour.points[node_b])
-                if best_ring - manhattan < 0.25 * best_ring:
-                    continue
-                if maze is None:
-                    maze = _ChordMaze(tour)
-                chord = maze.chord(tour.points[node_a], tour.points[node_b])
-                if chord is None or not _chord_is_clean(
-                    tour, chord, tour.points[node_a], tour.points[node_b],
-                    ring_set,
-                ):
-                    continue
-                realizations = [chord]
-            gain = _ring_gain(
-                tour, node_a, node_b, realizations[0].length
-            )
-            gain_evaluations += 1
-            if gain > 1e-9:
-                candidates.append((gain, node_a, node_b, realizations))
-    metrics = get_obs().metrics
-    metrics.counter("shortcuts.gain_evaluations").inc(gain_evaluations)
-    metrics.counter("shortcuts.candidates").inc(len(candidates))
-    if selection == "gain":
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    else:  # ring_length: longest-suffering pairs first
-        candidates.sort(
-            key=lambda item: (
-                -min(
-                    tour.cw_distance(item[1], item[2]),
-                    tour.ccw_distance(item[1], item[2]),
-                ),
-                -item[0],
-            )
-        )
+            ring = best_ring(node_a, node_b)
+            bound = ring - points[node_a].manhattan(points[node_b]) + 1e-9
+            if bound <= 1e-9:
+                continue
+            key = -ring if selection == "ring_length" else 0.0
+            heap.append((key, -bound, node_a, node_b, None))
+    heapq.heapify(heap)
 
+    gain_evaluations = 0
+    candidates = 0
     used_nodes: set[int] = set()
-    for gain, node_a, node_b, realizations in candidates:
+    # Retry obstacles: the ring plus every selected shortcut, grown by
+    # the paths accepted since the last retry.
+    retry_blocked: bytearray | None = None
+    unblocked: list[RectilinearPath] = []
+    while heap:
+        if deadline is not None:
+            deadline.check("shortcuts")
         if max_shortcuts is not None and len(plan.shortcuts) >= max_shortcuts:
             break
+        key, neg_value, node_a, node_b, realizations = heapq.heappop(heap)
         if node_a in used_nodes or node_b in used_nodes:
             continue
+        if realizations is None:
+            realizations = route(node_a, node_b)
+            if realizations is None:
+                continue
+            gain_evaluations += 1
+            gain = _ring_gain(tour, node_a, node_b, realizations[0].length)
+            if gain > 1e-9:
+                candidates += 1
+                heapq.heappush(heap, (key, -gain, node_a, node_b, realizations))
+            continue
+        gain = -neg_value
         chosen = _choose_realization(plan, realizations)
         if chosen is None:
             # Every stored realization tangles with selected shortcuts;
             # try a fresh maze chord that treats them as obstacles.
             if maze is None:
                 maze = _ChordMaze(tour)
-            extra = maze.blocked_by_paths([s.path for s in plan.shortcuts])
+            if retry_blocked is None:
+                retry_blocked = maze.ring_obstacles()
+            maze.block(retry_blocked, unblocked)
+            unblocked.clear()
             retry = maze.chord(
-                tour.points[node_a], tour.points[node_b], extra_blocked=extra
+                points[node_a],
+                points[node_b],
+                blocked=retry_blocked,
+                max_cost=best_ring(node_a, node_b) + _CAP_PITCHES * maze._PITCH,
             )
             if retry is None or _ring_gain(tour, node_a, node_b, retry.length) <= 1e-9:
                 continue
-            if not _chord_is_clean(
-                tour, retry, tour.points[node_a], tour.points[node_b], ring_set
-            ):
+            if not _chord_is_clean(tour, retry, points[node_a], points[node_b], ring_set):
                 continue
             if any(paths_cross(retry, s.path) for s in plan.shortcuts):
                 continue
@@ -574,8 +634,12 @@ def select_shortcuts(
                 crossing_dist_mm=_distance_along(other.path, point),
             )
         plan.shortcuts.append(shortcut)
+        unblocked.append(path)
         used_nodes.update((node_a, node_b))
 
+    metrics = get_obs().metrics
+    metrics.counter("shortcuts.gain_evaluations").inc(gain_evaluations)
+    metrics.counter("shortcuts.candidates").inc(candidates)
     _register_served_pairs(plan, tour, loss, demand_set)
     metrics.counter("shortcuts.selected").inc(len(plan.shortcuts))
     metrics.counter("shortcuts.served_pairs").inc(len(plan.served))

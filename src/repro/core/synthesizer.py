@@ -281,73 +281,85 @@ class XRingSynthesizer:
             "stage.ring", method=opts.ring_method
         ) as span:
             record.span_id = span.span_id
-            if provided is not None:
-                record.status = STATUS_PROVIDED
-                record.elapsed_s = deadline.stage_elapsed_s.get("ring", 0.0)
-                span.set_attribute("status", record.status)
-                return provided
             points = list(self.network.positions)
             # Built once per floorplan (cached) and threaded through
             # every retry below — degradation must not pay the O(E²)
             # conflict build twice.
             conflicts = None
-            try:
-                self.fault_plan.apply_before("ring", deadline)
-                deadline.check("ring")
-                if opts.ring_method == "milp":
-                    lazy = opts.lazy_conflicts
-                    if lazy is None:
-                        lazy = len(points) >= LAZY_THRESHOLD
-                    if not lazy:
-                        conflicts = self._ring_conflicts(points)
-                    tour = construct_ring_tour(
-                        points,
-                        backend=opts.milp_backend,
-                        time_limit=opts.milp_time_limit,
-                        deadline=deadline,
-                        conflicts=conflicts,
-                        lazy=lazy,
+            # Whether the heuristic built ``tour``: rebuilding with it
+            # would only reproduce the tour, so a repair uses the MILP.
+            heuristic_built = False
+            if provided is not None:
+                # A tour shared by the batch parent still passes the
+                # post-ring gate below; the parent builds it with the
+                # case's ring method.
+                record.status = STATUS_PROVIDED
+                tour = provided
+                heuristic_built = opts.ring_method == "heuristic"
+            else:
+                try:
+                    self.fault_plan.apply_before("ring", deadline)
+                    deadline.check("ring")
+                    if opts.ring_method == "milp":
+                        conflicts = self._milp_conflicts(points)
+                        tour = self._milp_tour(points, conflicts, deadline)
+                        if tour.timed_out:
+                            # In-budget incumbent: usable, but flagged.
+                            record.status = STATUS_FALLBACK
+                            record.fallback = "milp_incumbent"
+                            _log.warning(
+                                "ring MILP hit its time limit; keeping the "
+                                "in-budget incumbent (span_id=%s)",
+                                record.span_id,
+                            )
+                    else:
+                        tour = construct_ring_tour_heuristic(points)
+                        heuristic_built = True
+                except SynthesisError as exc:
+                    if self._reraise(exc):
+                        raise
+                    tour = construct_ring_tour_heuristic(points, conflicts=conflicts)
+                    heuristic_built = True
+                    record.status = STATUS_FALLBACK
+                    record.fallback = "heuristic_ring"
+                    record.error = str(exc)
+                    record.attempts = 2
+                    _log.warning(
+                        "ring MILP failed (%s); fell back to the heuristic "
+                        "ring (span_id=%s)",
+                        exc,
+                        record.span_id,
                     )
-                    if tour.timed_out:
-                        # In-budget incumbent: usable, but flagged.
-                        record.status = STATUS_FALLBACK
-                        record.fallback = "milp_incumbent"
-                        _log.warning(
-                            "ring MILP hit its time limit; keeping the "
-                            "in-budget incumbent (span_id=%s)",
-                            record.span_id,
-                        )
-                else:
-                    tour = construct_ring_tour_heuristic(points)
-            except SynthesisError as exc:
-                if self._reraise(exc):
-                    raise
-                tour = construct_ring_tour_heuristic(points, conflicts=conflicts)
-                record.status = STATUS_FALLBACK
-                record.fallback = "heuristic_ring"
-                record.error = str(exc)
-                record.attempts = 2
-                _log.warning(
-                    "ring MILP failed (%s); fell back to the heuristic "
-                    "ring (span_id=%s)",
-                    exc,
-                    record.span_id,
-                )
-            tour = self.fault_plan.apply_after("ring", tour)
+                tour = self.fault_plan.apply_after("ring", tour)
             if opts.validate and not self._tour_ok(tour):
                 # Repair-retry: rebuild with the (bounded, fast)
-                # heuristic; a second failure is surfaced typed.
+                # heuristic, or with the MILP when the heuristic built
+                # the failing tour; a second failure is surfaced typed.
+                repair = "milp_ring" if heuristic_built else "heuristic_ring"
                 report.retries += 1
                 record.attempts += 1
                 record.status = STATUS_REPAIRED
-                record.fallback = record.fallback or "heuristic_ring"
+                record.fallback = record.fallback or repair
                 record.error = record.error or "tour failed the validation gate"
                 _log.warning(
                     "ring tour failed the validation gate; rebuilding with "
-                    "the heuristic (span_id=%s)",
+                    "%s (span_id=%s)",
+                    "the MILP" if heuristic_built else "the heuristic",
                     record.span_id,
                 )
-                tour = construct_ring_tour_heuristic(points, conflicts=conflicts)
+                try:
+                    if heuristic_built:
+                        tour = self._milp_tour(
+                            points, self._milp_conflicts(points), deadline
+                        )
+                    else:
+                        tour = construct_ring_tour_heuristic(
+                            points, conflicts=conflicts
+                        )
+                except SynthesisError as exc:
+                    # The failing tour stays and fails the gate below.
+                    if self._reraise(exc):
+                        raise
                 if not self._tour_ok(tour):
                     record.status = STATUS_FAILED
                     raise ValidationFailure(
@@ -357,6 +369,26 @@ class XRingSynthesizer:
             span.set_attribute("status", record.status)
         record.elapsed_s = deadline.stage_elapsed_s["ring"]
         return tour
+
+    def _milp_conflicts(self, points):
+        """The conflict dict for the eager ring MILP, or ``None`` when
+        the lazy cutting-plane mode applies (it needs none)."""
+        lazy = self.options.lazy_conflicts
+        if lazy is None:
+            lazy = len(points) >= LAZY_THRESHOLD
+        return None if lazy else self._ring_conflicts(points)
+
+    def _milp_tour(self, points, conflicts, deadline: Deadline) -> RingTour:
+        """Step 1 by the MILP (lazy mode when ``conflicts`` is None)."""
+        opts = self.options
+        return construct_ring_tour(
+            points,
+            backend=opts.milp_backend,
+            time_limit=opts.milp_time_limit,
+            deadline=deadline,
+            conflicts=conflicts,
+            lazy=conflicts is None,
+        )
 
     @staticmethod
     def _ring_conflicts(points):
@@ -393,7 +425,7 @@ class XRingSynthesizer:
             try:
                 self.fault_plan.apply_before("shortcuts", deadline)
                 deadline.check("shortcuts")
-                plan = self._select_shortcuts_cached(tour, span)
+                plan = self._select_shortcuts_cached(tour, span, deadline)
             except SynthesisError as exc:
                 if self._reraise(exc):
                     raise
@@ -414,7 +446,9 @@ class XRingSynthesizer:
         record.elapsed_s = deadline.stage_elapsed_s["shortcuts"]
         return plan
 
-    def _select_shortcuts_cached(self, tour: RingTour, span) -> ShortcutPlan:
+    def _select_shortcuts_cached(
+        self, tour: RingTour, span, deadline: Deadline
+    ) -> ShortcutPlan:
         """Step 2, memoized on its input content when result caching is
         opted in (off by default; see
         :meth:`repro.parallel.SynthesisCache.enable_result_caching`)."""
@@ -441,6 +475,7 @@ class XRingSynthesizer:
             loss=opts.loss,
             selection=opts.shortcut_selection,
             demands=self.network.demands(),
+            deadline=deadline,
         )
         cache.plan_put(key, copy_plan(plan))
         return plan

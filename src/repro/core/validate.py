@@ -150,6 +150,16 @@ def _check_tour(design: XRingDesign, violations: list[Violation]) -> None:
             Violation("tour", "tour order is not a permutation of the nodes")
         )
         return
+    if tour.crossing_count > 0:
+        # The paper's Step 1 promises a crossing-free ring; a residual
+        # crossing (greedy realization tier) must trigger the repair.
+        violations.append(
+            Violation(
+                "tour",
+                f"ring waveguide has {tour.crossing_count} residual crossing(s)",
+            )
+        )
+        return
     # Node ring coordinates must equal the cumulative realized edge
     # lengths (every arc metric downstream is derived from them).
     travelled = 0.0

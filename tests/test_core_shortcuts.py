@@ -132,10 +132,9 @@ class TestChordMaze:
         a, b = tour16.order[0], tour16.order[tour16.size // 2]
         free = maze.chord(tour16.points[a], tour16.points[b])
         assert free is not None
-        blocked = maze.blocked_by_paths([free])
-        detour = maze.chord(
-            tour16.points[a], tour16.points[b], extra_blocked=blocked
-        )
+        blocked = maze.ring_obstacles()
+        maze.block(blocked, [free])
+        detour = maze.chord(tour16.points[a], tour16.points[b], blocked=blocked)
         if detour is not None:
             assert detour.length >= free.length - 1e-6
 

@@ -114,6 +114,28 @@ class TestBatchSynthesizer:
         for design in report.designs:
             assert design.report.stage("ring").status == "provided"
 
+    def test_shared_crossed_heuristic_tour_is_repaired_like_serial(self):
+        # The parent shares a heuristic tour with residual crossings;
+        # each case must repair it as a serial run would (MILP ring),
+        # not rebuild the same crossed tour and fail.
+        from repro.core.synthesizer import XRingSynthesizer
+        from tests.test_validate import heuristic_crossed_lattice14
+
+        network = Network.from_positions(heuristic_crossed_lattice14())
+        cases = [
+            _heuristic_case(network, "lattice/4", wl_budget=4),
+            _heuristic_case(network, "lattice/8", wl_budget=8),
+        ]
+        report = BatchSynthesizer(workers=1, share_tours=True).run(cases)
+        assert report.ok
+        for case, design in zip(cases, report.designs):
+            record = design.report.stage("ring")
+            assert record.status == "repaired"
+            assert record.fallback == "milp_ring"
+            serial = XRingSynthesizer(case.network, case.options).run()
+            assert design.tour.crossing_count == 0
+            assert design.to_dict() == serial.to_dict()
+
     def test_spans_carry_case_labels(self, network8):
         report = BatchSynthesizer(workers=1, collect_spans=True).run(
             [_heuristic_case(network8, "traced")]

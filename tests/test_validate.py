@@ -128,3 +128,102 @@ class TestBrokenDesignsCaught:
     def test_violation_str(self):
         violation = Violation("rule", "message")
         assert "rule" in str(violation) and "message" in str(violation)
+
+
+def _jittered_extended16(seed: int) -> list:
+    """The 16-node extended grid, each node moved by up to 0.3 mm along
+    x and then y: on these seeds the MILP ring's realization tier ends
+    with a residual crossing that the heuristic ring avoids."""
+    import random
+
+    from repro.geometry import Point
+    from repro.network.placement import extended_placement
+
+    rng = random.Random(seed)
+    points, _ = extended_placement(16)
+    moved = []
+    for p in points:
+        x = p.x + rng.uniform(-0.3, 0.3)
+        y = p.y + rng.uniform(-0.3, 0.3)
+        moved.append(Point(x, y))
+    return moved
+
+
+def heuristic_crossed_lattice14() -> list:
+    """A 14-node lattice on which the heuristic ring keeps residual
+    crossings (the MILP ring has none)."""
+    from repro.geometry import Point
+
+    cells = [
+        (1, 1), (0, 0), (1, 3), (2, 0), (0, 1), (2, 3), (1, 0),
+        (2, 2), (3, 0), (3, 3), (0, 3), (3, 2), (2, 1), (1, 2),
+    ]
+    return [Point(0.35 * col, 0.35 * row) for col, row in cells]
+
+
+class TestResidualRingCrossings:
+    """A ring with ``crossing_count > 0`` breaks the paper's Step-1
+    promise; the "tour" rule flags it and the repair-retry rebuilds."""
+
+    @pytest.fixture(scope="class")
+    def crossed(self):
+        from repro.core.ring import construct_ring_tour
+
+        points = _jittered_extended16(21)
+        tour = construct_ring_tour(list(points))
+        assert tour.crossing_count == 1
+        return Network.from_positions(points), tour
+
+    def test_tour_rule_flags_residual_crossing(self, crossed):
+        from repro.core.design import XRingDesign
+        from repro.core.mapping import SignalMapping
+        from repro.core.shortcuts import ShortcutPlan
+
+        network, tour = crossed
+        stub = XRingDesign(
+            network=network,
+            tour=tour,
+            shortcut_plan=ShortcutPlan(),
+            mapping=SignalMapping(),
+        )
+        violations = validate_design(stub, rules=("tour",))
+        assert [v.rule for v in violations] == ["tour"]
+        assert "crossing" in violations[0].message
+
+    def test_synthesis_repairs_with_heuristic_ring(self, crossed):
+        from repro.robustness.report import STATUS_REPAIRED
+
+        network, _ = crossed
+        design = XRingSynthesizer(network, SynthesisOptions()).run()
+        record = design.report.stage("ring")
+        assert record.status == STATUS_REPAIRED
+        assert record.fallback == "heuristic_ring"
+        assert design.tour.crossing_count == 0
+        assert validate_design(design) == []
+
+    def test_provided_tour_passes_the_ring_gate(self, crossed):
+        from repro.robustness.report import STATUS_REPAIRED
+
+        network, tour = crossed
+        design = XRingSynthesizer(network, SynthesisOptions()).run(tour=tour)
+        assert design.report.stage("ring").status == STATUS_REPAIRED
+        assert design.tour.crossing_count == 0
+        assert validate_design(design) == []
+
+    def test_heuristic_built_tour_is_repaired_with_the_milp(self):
+        """The heuristic leaves residual crossings on this 14-node
+        lattice, and rebuilding with it would reproduce them."""
+        from repro.core.heuristic_ring import construct_ring_tour_heuristic
+        from repro.robustness.report import STATUS_REPAIRED
+
+        points = heuristic_crossed_lattice14()
+        assert construct_ring_tour_heuristic(points).crossing_count > 0
+        design = XRingSynthesizer(
+            Network.from_positions(points),
+            SynthesisOptions(ring_method="heuristic", on_error="raise"),
+        ).run()
+        record = design.report.stage("ring")
+        assert record.status == STATUS_REPAIRED
+        assert record.fallback == "milp_ring"
+        assert design.tour.crossing_count == 0
+        assert validate_design(design) == []
