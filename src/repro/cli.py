@@ -395,7 +395,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             report = synthesizer.run(cases, journal=journal_path)
         except KeyboardInterrupt:
             # Interrupted outside the supervisor loop (case loading,
-            # tour sharing): nothing partial to print beyond the hint.
+            # Step 1-2 sharing): nothing partial to print beyond the hint.
             print("xring batch: interrupted", file=sys.stderr)
             if journal_path:
                 print(

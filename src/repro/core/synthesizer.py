@@ -38,7 +38,7 @@ from repro.core.heuristic_ring import construct_ring_tour_heuristic
 from repro.core.mapping import SignalMapping, map_signals
 from repro.core.pdn import PdnDesign, build_pdn
 from repro.core.ring import LAZY_THRESHOLD, RingTour, construct_ring_tour
-from repro.core.shortcuts import ShortcutPlan, select_shortcuts
+from repro.core.shortcuts import ShortcutPlan, copy_plan, select_shortcuts
 from repro.core.validate import validate_design
 from repro.network import Network
 from repro.obs import (
@@ -168,6 +168,38 @@ class SynthesisOptions:
             )
 
 
+def shortcut_plan_key(
+    tour: RingTour, options: SynthesisOptions, demands
+) -> tuple:
+    """The content key of Step 2: every input :func:`plan_shortcuts`
+    reads.  The opt-in ``plans`` cache and the batch parent's Step-2
+    sharing both key on it, so the two cannot drift apart."""
+    from repro.parallel.cache import canonical_points
+
+    return (
+        tour.order,
+        canonical_points(tour.points),
+        options.enable_shortcuts,
+        options.shortcut_selection,
+        options.loss,
+        demands,
+    )
+
+
+def plan_shortcuts(
+    tour: RingTour, options: SynthesisOptions, demands, deadline=None
+) -> ShortcutPlan:
+    """Step 2 as ``options`` configure it, uncached and undegraded."""
+    return select_shortcuts(
+        tour,
+        enabled=options.enable_shortcuts,
+        loss=options.loss,
+        selection=options.shortcut_selection,
+        demands=demands,
+        deadline=deadline,
+    )
+
+
 class XRingSynthesizer:
     """Runs Steps 1-4 on a network under a deadline, degrading gracefully.
 
@@ -198,11 +230,16 @@ class XRingSynthesizer:
         self.tracer = tracer
         self.metrics = metrics
 
-    def run(self, tour: RingTour | None = None) -> XRingDesign:
+    def run(
+        self, tour: RingTour | None = None, plan: ShortcutPlan | None = None
+    ) -> XRingDesign:
         """Synthesize the router; ``tour`` may be supplied to reuse a
         previously constructed ring (the experiments share Step 1
         between XRing and the ring baselines, as the paper does for
-        ORNoC)."""
+        ORNoC).  ``plan`` may supply Step 2 for that ``tour`` (the
+        batch parent shares it across cases); it is dropped, and
+        Step 2 runs, when the ring stage does not keep ``tour``
+        unchanged."""
         opts = self.options
         ambient = get_obs()
         tracer = self.tracer if self.tracer is not None else ambient.tracer
@@ -217,8 +254,13 @@ class XRingSynthesizer:
                 nodes=self.network.size,
                 on_error=opts.on_error,
             ) as root:
-                tour = self._stage_ring(tour, deadline, report)
-                plan = self._stage_shortcuts(tour, deadline, report)
+                ring_tour = self._stage_ring(tour, deadline, report)
+                if ring_tour is not tour:
+                    # Built or repaired here: a provided plan belongs
+                    # to another tour.
+                    plan = None
+                tour = ring_tour
+                plan = self._stage_shortcuts(tour, plan, deadline, report)
                 wl_budget = (
                     self.network.size if opts.wl_budget is None else opts.wl_budget
                 )
@@ -414,7 +456,11 @@ class XRingSynthesizer:
 
     # -- stage 2: shortcuts --------------------------------------------------
     def _stage_shortcuts(
-        self, tour: RingTour, deadline: Deadline, report: SynthesisReport
+        self,
+        tour: RingTour,
+        provided: ShortcutPlan | None,
+        deadline: Deadline,
+        report: SynthesisReport,
     ) -> ShortcutPlan:
         opts = self.options
         record = report.record(StageRecord("shortcuts"))
@@ -422,25 +468,31 @@ class XRingSynthesizer:
             "stage.shortcuts", enabled=opts.enable_shortcuts
         ) as span:
             record.span_id = span.span_id
-            try:
-                self.fault_plan.apply_before("shortcuts", deadline)
-                deadline.check("shortcuts")
-                plan = self._select_shortcuts_cached(tour, span, deadline)
-            except SynthesisError as exc:
-                if self._reraise(exc):
-                    raise
-                plan = ShortcutPlan()
-                record.status = STATUS_FALLBACK
-                record.fallback = "no_shortcuts"
-                record.error = str(exc)
-                record.attempts = 2
-                _log.warning(
-                    "shortcut selection failed (%s); continuing without "
-                    "shortcuts (span_id=%s)",
-                    exc,
-                    record.span_id,
-                )
-            plan = self.fault_plan.apply_after("shortcuts", plan)
+            if provided is not None:
+                # A plan shared by the batch parent, selected on this
+                # very tour; the mapping and final gates still check it.
+                record.status = STATUS_PROVIDED
+                plan = copy_plan(provided)
+            else:
+                try:
+                    self.fault_plan.apply_before("shortcuts", deadline)
+                    deadline.check("shortcuts")
+                    plan = self._select_shortcuts_cached(tour, span, deadline)
+                except SynthesisError as exc:
+                    if self._reraise(exc):
+                        raise
+                    plan = ShortcutPlan()
+                    record.status = STATUS_FALLBACK
+                    record.fallback = "no_shortcuts"
+                    record.error = str(exc)
+                    record.attempts = 2
+                    _log.warning(
+                        "shortcut selection failed (%s); continuing without "
+                        "shortcuts (span_id=%s)",
+                        exc,
+                        record.span_id,
+                    )
+                plan = self.fault_plan.apply_after("shortcuts", plan)
             span.set_attribute("status", record.status)
             span.set_attribute("selected", len(plan.shortcuts))
         record.elapsed_s = deadline.stage_elapsed_s["shortcuts"]
@@ -451,33 +503,24 @@ class XRingSynthesizer:
     ) -> ShortcutPlan:
         """Step 2, memoized on its input content when result caching is
         opted in (off by default; see
-        :meth:`repro.parallel.SynthesisCache.enable_result_caching`)."""
-        from repro.core.shortcuts import copy_plan
-        from repro.parallel.cache import canonical_points, get_cache
+        :meth:`repro.parallel.SynthesisCache.enable_result_caching`).
+        Under a deadline or MILP time limit the stage always runs, so
+        its timing stays observable, as for tours."""
+        from repro.parallel.cache import get_cache
 
         opts = self.options
-        cache = get_cache()
-        key = (
-            tour.order,
-            canonical_points(tour.points),
-            opts.enable_shortcuts,
-            opts.shortcut_selection,
-            opts.loss,
-            self.network.demands(),
-        )
-        cached = cache.plan_get(key)
-        if cached is not None:
-            span.set_attribute("cached", True)
-            return copy_plan(cached)
-        plan = select_shortcuts(
-            tour,
-            enabled=opts.enable_shortcuts,
-            loss=opts.loss,
-            selection=opts.shortcut_selection,
-            demands=self.network.demands(),
-            deadline=deadline,
-        )
-        cache.plan_put(key, copy_plan(plan))
+        demands = self.network.demands()
+        cache = None
+        if opts.deadline_s is None and opts.milp_time_limit is None:
+            cache = get_cache()
+            key = shortcut_plan_key(tour, opts, demands)
+            cached = cache.plan_get(key)
+            if cached is not None:
+                span.set_attribute("cached", True)
+                return copy_plan(cached)
+        plan = plan_shortcuts(tour, opts, demands, deadline)
+        if cache is not None:
+            cache.plan_put(key, copy_plan(plan))
         return plan
 
     # -- stage 3: mapping ----------------------------------------------------

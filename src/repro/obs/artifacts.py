@@ -77,11 +77,13 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Every record of a JSONL log, in file order.
 
-    A missing file reads as ``[]``; blank lines are skipped.  An
-    undecodable *last* line is a torn tail and is dropped with a
-    WARNING; an undecodable line anywhere else raises
-    :class:`ConfigurationError`, because silently skipping it would
-    lose records that were durably written.
+    A missing file reads as ``[]``; blank lines are skipped.  Bytes
+    after the last newline are a torn tail, as :func:`append_jsonl`
+    sees it: undecodable, they are dropped with a WARNING; a complete
+    record there is kept, and the next append terminates it.  An
+    undecodable newline-terminated line raises
+    :class:`ConfigurationError` wherever it sits, because silently
+    skipping it would lose records that were durably written.
     """
     path = Path(path)
     try:
@@ -89,8 +91,7 @@ def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
     except FileNotFoundError:
         return []
     lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
+    tail = lines.pop()
     records: list[dict[str, Any]] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -98,18 +99,30 @@ def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
         try:
             records.append(json.loads(line))
         except ValueError:
-            if lineno < len(lines):
-                raise ConfigurationError(
-                    f"JSONL log {path} is corrupt at line {lineno}",
-                    context={"path": str(path), "line": lineno},
-                ) from None
+            raise ConfigurationError(
+                f"JSONL log {path} is corrupt at line {lineno}",
+                context={"path": str(path), "line": lineno},
+            ) from None
+    if tail.strip():
+        record = _decode_tail(tail)
+        if record is None:
             _log.warning(
                 "%s: dropping torn tail line %d (%d bytes)",
                 path,
-                lineno,
-                len(line),
+                len(lines) + 1,
+                len(tail),
             )
+        else:
+            records.append(record)
     return records
+
+
+def _decode_tail(tail: bytes) -> Any:
+    """The record in an unterminated last line, or ``None`` if torn."""
+    try:
+        return json.loads(tail)
+    except ValueError:
+        return None
 
 
 def append_jsonl(
@@ -117,10 +130,11 @@ def append_jsonl(
 ) -> None:
     """Append ``records`` to a JSONL log, one ``sort_keys`` line each.
 
-    A file that does not end in a newline carries a torn tail from a
-    crashed append; it is truncated back to the last newline first, so
-    the new lines never glue onto it.  ``fsync`` makes the append
-    durable before returning.
+    A file that does not end in a newline ends in a tail from a crashed
+    append.  A torn tail is truncated back to the last newline first,
+    so the new lines never glue onto it; a complete record there gets
+    its newline, so what :func:`read_jsonl` returned survives.
+    ``fsync`` makes the append durable before returning.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -131,13 +145,17 @@ def append_jsonl(
             handle.seek(end - 1)
             if handle.read(1) != b"\n":
                 handle.seek(0)
-                keep = handle.read().rfind(b"\n") + 1
-                _log.warning(
-                    "%s: truncating torn tail (%d bytes) before append",
-                    path,
-                    end - keep,
-                )
-                handle.truncate(keep)
+                content = handle.read()
+                keep = content.rfind(b"\n") + 1
+                if _decode_tail(content[keep:]) is None:
+                    _log.warning(
+                        "%s: truncating torn tail (%d bytes) before append",
+                        path,
+                        end - keep,
+                    )
+                    handle.truncate(keep)
+                else:
+                    data = "\n" + data
         handle.write(data.encode("utf-8"))
         handle.flush()
         if fsync:

@@ -311,8 +311,9 @@ def spans_to_chrome(records: list[dict[str, Any]]) -> dict[str, Any]:
             }
         )
         # The supervisor/service process emits the coordination spans
-        # (batch.attempt, job); any pid that emitted one is the parent.
-        if record.get("name") in ("batch.attempt", "job"):
+        # (batch.attempt, batch.share, job); any pid that emitted one
+        # is the parent.
+        if record.get("name") in ("batch.attempt", "batch.share", "job"):
             pids[pid] = f"supervisor pid {pid}"
         else:
             pids.setdefault(pid, f"worker pid {pid}")

@@ -43,9 +43,14 @@ Design decisions:
   (``on_error="collect"``) the rest of the batch completes.
   ``on_error="raise"`` re-raises the first (by input order) failure as
   :class:`BatchError` after the join.
-- **Tour sharing** — cases on the same floorplan with the same ring
-  construction settings can share Step-1 (the paper's methodology for
-  #wl sweeps), constructed once by the parent before fan-out.
+- **Step 1-2 sharing** — cases on the same floorplan with the same
+  ring construction settings share one Step-1 tour (the paper's
+  methodology for #wl sweeps), and those of them whose Step-2 inputs
+  also match (:func:`~repro.core.synthesizer.shortcut_plan_key`) share
+  one shortcut plan; the parent builds both once, before fan-out.
+  Cases under a deadline or MILP time limit build their own, a failed
+  parent build attaches nothing, and a case whose ring stage repairs
+  the shared tour selects its own shortcuts.
 """
 
 from __future__ import annotations
@@ -61,15 +66,20 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs import (
+    NULL_TRACER,
     MetricsRegistry,
+    ObsContext,
     RunArtifacts,
     TraceContext,
+    Tracer,
+    annotate_span_records,
     atomic_write_text,
     canonical_json,
     current_trace,
     get_logger,
     get_obs,
     spans_to_chrome,
+    use_obs,
 )
 from repro.parallel.cache import canonical_points, get_cache
 from repro.parallel.journal import (
@@ -281,9 +291,12 @@ class BatchSynthesizer:
     order and the designs are identical — parallelism *and* fault
     recovery are implementation details, never semantic ones.
 
-    ``config`` sets the supervision policy (retries, per-case timeout,
-    backoff, circuit breaker).  ``fault_plan`` injects worker-level
-    chaos faults (crash/hang/abort) for the chaos suite.
+    ``share_tours`` (default on) lets the parent build Steps 1 and 2
+    once per group of cases that share them (see the module notes);
+    designs are the same either way.  ``config`` sets the supervision
+    policy (retries, per-case timeout, backoff, circuit breaker).
+    ``fault_plan`` injects worker-level chaos faults
+    (crash/hang/abort) for the chaos suite.
     """
 
     def __init__(
@@ -333,7 +346,7 @@ class BatchSynthesizer:
             _log.warning("progress-event sink raised; disabling it", exc_info=True)
             self.on_event = None
 
-    # -- tour sharing --------------------------------------------------------
+    # -- Step 1-2 sharing ----------------------------------------------------
     @staticmethod
     def _tour_group_key(case: BatchCase):
         """Cases with equal keys may share one Step-1 construction.
@@ -353,30 +366,113 @@ class BatchSynthesizer:
             opts.milp_backend,
         )
 
-    def _share_step1(self, cases: list[BatchCase]) -> list[BatchCase]:
-        """Construct each shared tour once and attach it to its group."""
+    def _share_steps(
+        self,
+        cases: list[BatchCase],
+        done: dict[int, BatchResult],
+        trace: TraceContext | None,
+    ) -> tuple[list[BatchCase], dict[str, Any], list[dict[str, Any]]]:
+        """Build each shared tour, then each shared shortcut plan, once,
+        for the cases not already ``done`` (restored or cached).
+
+        Returns the cases with tours and plans attached, plus the
+        metrics snapshot and span records of the parent's work, which
+        runs under its own registry (and tracer, with
+        ``collect_spans``) so the join reports it exactly once.  A
+        parent-side failure attaches nothing: the affected cases then
+        run the step themselves, under their own degrade policy.
+        """
+        groups: dict[Any, list[int]] = {}
+        for idx, case in enumerate(cases):
+            key = None if idx in done else self._tour_group_key(case)
+            if key is not None:
+                groups.setdefault(key, []).append(idx)
+        tour_groups = [indices for indices in groups.values() if len(indices) >= 2]
+        if not tour_groups:
+            return cases, {}, []
+        registry = MetricsRegistry()
+        tracer = Tracer() if self.collect_spans else NULL_TRACER
+        shared = list(cases)
+        with use_obs(ObsContext(tracer=tracer, metrics=registry)):
+            with tracer.span("batch.share", groups=len(tour_groups)):
+                with tracer.span("batch.share.ring"):
+                    for indices in tour_groups:
+                        self._share_tour(shared, indices)
+                with tracer.span("batch.share.shortcuts") as span:
+                    span.set_attribute(
+                        "plans", self._share_plans(shared, tour_groups)
+                    )
+        records: list[dict[str, Any]] = []
+        if self.collect_spans:
+            records = [span.to_dict() for span in tracer.finished_spans()]
+            if trace is not None:
+                annotate_span_records(
+                    records,
+                    trace.child(trace.parent_uid, prefix="share"),
+                    epoch_unix=tracer.epoch_unix,
+                )
+        return shared, registry.snapshot(), records
+
+    @staticmethod
+    def _share_tour(cases: list[BatchCase], indices: list[int]) -> None:
+        """Attach one Step-1 tour to every case in ``indices``."""
         from repro.core.heuristic_ring import construct_ring_tour_heuristic
         from repro.core.ring import construct_ring_tour
 
+        case = cases[indices[0]]
+        points = list(case.network.positions)
+        try:
+            if case.options.ring_method == "milp":
+                tour = construct_ring_tour(points, backend=case.options.milp_backend)
+            else:
+                tour = construct_ring_tour_heuristic(points)
+        except Exception:
+            _log.warning(
+                "shared ring construction failed; %d cases build their own",
+                len(indices),
+                exc_info=True,
+            )
+            return
+        for idx in indices:
+            cases[idx] = dataclasses.replace(cases[idx], tour=tour)
+
+    @staticmethod
+    def _share_plans(cases: list[BatchCase], tour_groups: list[list[int]]) -> int:
+        """Attach one Step-2 plan to each group of >= 2 shortcut-enabled
+        cases with equal :func:`~repro.core.synthesizer.shortcut_plan_key`;
+        returns the number of plans shared."""
+        from repro.core.synthesizer import plan_shortcuts, shortcut_plan_key
+
         groups: dict[Any, list[int]] = {}
-        for idx, case in enumerate(cases):
-            key = self._tour_group_key(case)
-            if key is not None:
+        for indices in tour_groups:
+            for idx in indices:
+                case = cases[idx]
+                if case.tour is None or not case.options.enable_shortcuts:
+                    continue
+                key = shortcut_plan_key(
+                    case.tour, case.options, case.network.demands()
+                )
                 groups.setdefault(key, []).append(idx)
-        shared = list(cases)
-        for key, indices in groups.items():
+        shared = 0
+        for indices in groups.values():
             if len(indices) < 2:
                 continue
             case = cases[indices[0]]
-            points = list(case.network.positions)
-            if case.options.ring_method == "milp":
-                tour = construct_ring_tour(
-                    points, backend=case.options.milp_backend
+            try:
+                plan = plan_shortcuts(
+                    case.tour, case.options, case.network.demands()
                 )
-            else:
-                tour = construct_ring_tour_heuristic(points)
+            except Exception:
+                _log.warning(
+                    "shared shortcut selection failed; %d cases select "
+                    "their own",
+                    len(indices),
+                    exc_info=True,
+                )
+                continue
+            shared += 1
             for idx in indices:
-                shared[idx] = dataclasses.replace(cases[idx], tour=tour)
+                cases[idx] = dataclasses.replace(cases[idx], plan=plan)
         return shared
 
     # -- execution -----------------------------------------------------------
@@ -444,18 +540,22 @@ class BatchSynthesizer:
         journal_restored = len(restored)
         restored.update(cached)
 
+        trace = self.trace
+        if trace is None and self.collect_spans:
+            trace = current_trace() or TraceContext.new()
+
+        share_metrics: dict[str, Any] = {}
+        share_spans: list[dict[str, Any]] = []
         if self.share_tours:
-            cases = self._share_step1(cases)
+            cases, share_metrics, share_spans = self._share_steps(
+                cases, restored, trace
+            )
 
         remaining = [
             (idx, case)
             for idx, case in enumerate(cases)
             if idx not in restored
         ]
-
-        trace = self.trace
-        if trace is None and self.collect_spans:
-            trace = current_trace() or TraceContext.new()
 
         def checkpoint(result: BatchResult) -> None:
             if journal_obj is not None:
@@ -482,7 +582,15 @@ class BatchSynthesizer:
 
         outcomes = list(restored.values()) + list(outcomes)
         outcomes.sort(key=lambda r: r.index)
-        return self._join(outcomes, stats, start, l2=l2, l2_before=l2_before)
+        return self._join(
+            outcomes,
+            stats,
+            start,
+            l2=l2,
+            l2_before=l2_before,
+            share_metrics=share_metrics,
+            share_spans=share_spans,
+        )
 
     def _open_journal(
         self, journal: BatchJournal | str | Path | None, keys: list[str]
@@ -545,9 +653,14 @@ class BatchSynthesizer:
         start: float,
         l2: Any = None,
         l2_before: dict[str, int] | None = None,
+        share_metrics: dict[str, Any] | None = None,
+        share_spans: list[dict[str, Any]] | None = None,
     ) -> BatchReport:
         merged = MetricsRegistry()
-        span_records: list[dict[str, Any]] = []
+        # The parent's shared Step 1-2 work, once for the whole batch.
+        if share_metrics:
+            merged.merge_snapshot(share_metrics)
+        span_records: list[dict[str, Any]] = list(share_spans or [])
         for outcome in outcomes:
             span_records.extend(outcome.metrics.pop("spans", []))
             merged.merge_snapshot(outcome.metrics)

@@ -67,6 +67,7 @@ from typing import Any, Callable
 
 from repro.core.design import XRingDesign
 from repro.core.ring import RingTour
+from repro.core.shortcuts import ShortcutPlan
 from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
 from repro.network import Network
 from repro.obs import (
@@ -118,13 +119,17 @@ class BatchCase:
 
     ``tour`` may pre-supply Step 1 (the experiments share the ring
     between #wl settings, as the paper does); ``None`` lets the
-    synthesizer construct it, possibly via the tour cache.
+    synthesizer construct it, possibly via the tour cache.  ``plan``
+    may pre-supply Step 2 for that tour (the batch parent shares it
+    between cases whose Step-2 inputs match); the synthesizer drops it
+    when the ring stage repairs the tour.
     """
 
     network: Network
     options: SynthesisOptions
     label: str = ""
     tour: RingTour | None = None
+    plan: ShortcutPlan | None = None
 
     def named(self) -> str:
         return self.label or self.options.label
@@ -248,7 +253,7 @@ def _execute_case(
             synthesizer = XRingSynthesizer(
                 case.network, case.options, tracer=tracer, metrics=registry
             )
-            result.design = synthesizer.run(tour=case.tour)
+            result.design = synthesizer.run(tour=case.tour, plan=case.plan)
         except Exception as exc:  # isolated: reported, not propagated
             result.error = f"{type(exc).__name__}: {exc}"
             result.error_type = type(exc).__name__

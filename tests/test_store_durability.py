@@ -407,15 +407,17 @@ class _JournalLog:
 
     def __init__(self, root):
         self.path = root / "batch.jsonl"
+        self.journal = None
 
     def append(self, i):
-        journal = (
-            BatchJournal.load(self.path)
-            if self.path.exists()
-            else BatchJournal(self.path)
-        )
-        journal.begin("fp", 1)
-        journal.record(
+        # One journal per batch run, as BatchSynthesizer keeps it: a
+        # load would (rightly) refuse a corrupt journal before the
+        # append under test.  test_journal_resume_after_torn_tail
+        # covers load-then-append.
+        if self.journal is None:
+            self.journal = BatchJournal(self.path)
+            self.journal.begin("fp", 1)
+        self.journal.record(
             f"k{i}", BatchResult(index=i, label=f"c{i}", error="boom", error_type="E")
         )
 
@@ -516,6 +518,30 @@ class TestJsonlLogDurability:
         log.append(1)
         with pytest.raises(ConfigurationError, match=f"corrupt at line {bad_line}"):
             log.records()
+
+    def test_terminated_garbage_last_line_raises(self, log):
+        # Only bytes after the last newline are a torn tail; a whole
+        # undecodable line is corruption, last or not, before and
+        # after another append.
+        log.append(0)
+        bad_line = len(log.path.read_bytes().splitlines()) + 1
+        with open(log.path, "ab") as handle:
+            handle.write(b"NOT JSON\n")
+        with pytest.raises(ConfigurationError, match=f"corrupt at line {bad_line}"):
+            log.records()
+        log.append(1)
+        with pytest.raises(ConfigurationError, match=f"corrupt at line {bad_line}"):
+            log.records()
+
+    def test_unterminated_whole_record_survives_the_next_append(self, log):
+        log.append(0)
+        log.append(1)
+        before = log.records()
+        log.path.write_bytes(log.path.read_bytes().rstrip(b"\n"))
+        assert log.records() == before
+        log.append(2)
+        after = log.records()
+        assert len(after) == 3 and after[:2] == before
 
     def test_parent_format_loads_to_the_same_records(self, log):
         log.path.parent.mkdir(parents=True, exist_ok=True)
