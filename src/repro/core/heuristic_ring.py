@@ -27,7 +27,7 @@ from repro.core.ring import (
     copy_tour,
     validate_ring_points,
 )
-from repro.geometry import Point, edges_conflict
+from repro.geometry import Point, conflicting_edge_indices
 from repro.milp import SolveError
 from repro.obs import get_obs
 
@@ -86,8 +86,9 @@ def _conflicting_edge_pairs(
 
     With a precomputed ``conflicts`` dict (undirected ``(i, j)``,
     ``i < j`` — see :func:`repro.geometry.build_edge_conflicts`) this
-    is pure dict lookups; otherwise each pair goes through the memoized
-    :func:`~repro.geometry.edges_conflict` predicate.
+    is pure dict lookups; otherwise one bulk-kernel query
+    (:func:`~repro.geometry.conflicting_edge_indices`) tests the tour.
+    Either way pairs come in ``itertools.combinations`` order.
     """
     n = len(order)
     if conflicts is not None:
@@ -99,14 +100,9 @@ def _conflicting_edge_pairs(
             for k1, k2 in itertools.combinations(range(n), 2)
             if pairs[k2] in conflicts.get(pairs[k1], ())
         ]
-    edges = [
-        (points[order[k]], points[order[(k + 1) % n]]) for k in range(n)
-    ]
-    return [
-        (k1, k2)
-        for k1, k2 in itertools.combinations(range(n), 2)
-        if edges_conflict(edges[k1], edges[k2])
-    ]
+    return conflicting_edge_indices(
+        points, [(order[k], order[(k + 1) % n]) for k in range(n)]
+    )
 
 
 def _repair_conflicts(
@@ -160,10 +156,10 @@ def construct_ring_tour_heuristic(
 
     ``conflicts`` optionally reuses an already-built conflict-pair dict
     (e.g. from the MILP attempt this call is degrading from) — the
-    repair loop then works by dict lookup.  When omitted, conflict
-    checks go through the memoized pairwise predicate instead of
-    building the full O(E²) dict, which is the point of the heuristic
-    at large N.  Results are served from / stored into the
+    repair loop then works by dict lookup.  When omitted, each tour
+    is tested with one bulk-kernel query over its own n edges instead
+    of building the full O(E²) dict, which is the point of the
+    heuristic at large N.  Results are served from / stored into the
     process-global tour cache.
     """
     n = len(points)

@@ -28,13 +28,15 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geometry import (
     Point,
     RectilinearPath,
     build_edge_conflicts,
+    conflicts_between,
     edge_realizations,
-    edges_conflict,
-    paths_cross,
+    option_crossings,
 )
 from repro.milp import Model, SolveError, SolveStatus
 from repro.milp.expression import lin_sum
@@ -178,11 +180,16 @@ def _cycle_edges(cycle: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def _undirected(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
 def _merge_two_cycles(
     c1: list[int],
     c2: list[int],
     points: list[Point],
     other_edges: list[tuple[int, int]],
+    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
 ) -> tuple[list[int], float]:
     """Merge two cycles by the cheapest feasible 2-exchange.
 
@@ -195,6 +202,10 @@ def _merge_two_cycles(
     that remains selected.  Falls back to the cheapest splice ignoring
     third-party conflicts when no fully clean splice exists (the 2-SAT
     stage then reports residual crossings honestly).
+
+    Conflicts are read from ``conflicts`` (the undirected pair dict of
+    :func:`~repro.geometry.build_edge_conflicts`) when one is at hand,
+    else tested with one bulk-kernel query per splice candidate.
     """
 
     def splice_cost(a: int, b: int, c: int, d: int) -> float:
@@ -208,22 +219,25 @@ def _merge_two_cycles(
     def new_edges_clean(
         a: int, b: int, c: int, d: int, cycle2: list[int], strict: bool
     ) -> bool:
-        e_ad = (points[a], points[d])
-        e_cb = (points[c], points[b])
-        if edges_conflict(e_ad, e_cb):
-            return False
-        if not strict:
-            return True
-        remaining = [
-            e
-            for e in _cycle_edges(c1) + _cycle_edges(cycle2) + other_edges
-            if e not in ((a, b), (c, d))
-        ]
-        for i, j in remaining:
-            other = (points[i], points[j])
-            if edges_conflict(e_ad, other) or edges_conflict(e_cb, other):
-                return False
-        return True
+        remaining = (
+            [
+                e
+                for e in _cycle_edges(c1) + _cycle_edges(cycle2) + other_edges
+                if e not in ((a, b), (c, d))
+            ]
+            if strict
+            else []
+        )
+        if conflicts is not None:
+            near_ad = conflicts[_undirected(a, d)]
+            near_cb = conflicts[_undirected(c, b)]
+            return _undirected(c, b) not in near_ad and not any(
+                _undirected(i, j) in near_ad or _undirected(i, j) in near_cb
+                for i, j in remaining
+            )
+        firsts = [(a, d)] * (1 + len(remaining)) + [(c, b)] * len(remaining)
+        seconds = [(c, b)] + remaining + remaining
+        return not conflicts_between(points, firsts, seconds).any()
 
     orientations = [list(c2), list(reversed(c2))]
     candidates: list[tuple[float, int, int, int, int, int]] = []
@@ -270,43 +284,28 @@ def _staircase_routes(a: Point, b: Point) -> list[RectilinearPath]:
     return [vhv, hvh]
 
 
-def _shared_points(e1, e2) -> list[Point]:
-    return [
-        p
-        for p in (e1[0], e1[1])
-        if p.almost_equals(e2[0]) or p.almost_equals(e2[1])
-    ]
-
-
 def _backtrack_realizations(
-    edges: list[tuple[Point, Point]],
     options: list[list[RectilinearPath]],
+    crossing: dict[tuple[int, int], set[tuple[int, int]]],
     max_nodes: int = 200_000,
 ) -> list[RectilinearPath] | None:
     """Exhaustive crossing-free realization search with forward checking.
 
-    ``options[k]`` are the candidate paths of edge ``k``.  Returns one
-    globally crossing-free choice per edge, or ``None`` when none
-    exists within the node budget.
+    ``options[k]`` are the candidate paths of edge ``k``;
+    ``crossing[(k1, k2)]`` (``k1 < k2``) holds the option index pairs
+    ``(i1, i2)`` that cross, and pairs absent from it never cross.
+    Returns one globally crossing-free choice per edge, or ``None``
+    when none exists within the node budget.
     """
-    n = len(edges)
-    compatible: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for k1, k2 in itertools.combinations(range(n), 2):
-        shared = _shared_points(edges[k1], edges[k2])
-        ok = {
-            (i1, i2)
-            for i1, r1 in enumerate(options[k1])
-            for i2, r2 in enumerate(options[k2])
-            if not paths_cross(r1, r2, ignore=shared)
-        }
-        if not ok:
+    n = len(options)
+    for (k1, k2), crossed in crossing.items():
+        if len(crossed) == len(options[k1]) * len(options[k2]):
             return None
-        compatible[(k1, k2)] = ok
 
     def allowed_pair(k1: int, i1: int, k2: int, i2: int) -> bool:
         if k1 < k2:
-            return (i1, i2) in compatible[(k1, k2)]
-        return (i2, i1) in compatible[(k2, k1)]
+            return (i1, i2) not in crossing.get((k1, k2), ())
+        return (i2, i1) not in crossing.get((k2, k1), ())
 
     # Most-constrained-first static order.
     order_idx = sorted(range(n), key=lambda k: len(options[k]))
@@ -347,70 +346,73 @@ def _choose_realizations(
        length, different occupied track);
     3. as a last resort, a greedy crossing-minimizing assignment whose
        residual crossings are reported in ``RingTour.crossing_count``.
+
+    All tiers read one crossing table over every option pair of every
+    nearby tour-edge pair (:func:`~repro.geometry.option_crossings`),
+    built in a single bulk-kernel call.
     """
     n = len(order)
     edges = [
         (points[order[k]], points[order[(k + 1) % n]]) for k in range(n)
     ]
-    options = [list(edge_realizations(*e)) for e in edges]
+    l_options = [list(edge_realizations(*e)) for e in edges]
+    options = [
+        opts + _staircase_routes(*edges[k]) for k, opts in enumerate(l_options)
+    ]
+    idx1, idx2, table = option_crossings(edges, options)
 
+    # 2-SAT: True picks option 0 (vertical-first), False option 1; a
+    # straight edge exposes its single path under both values and is
+    # pinned to True so clauses reference a consistent value.  Clauses
+    # go in (k1, k2, v1, v2) order, True before False.
     sat = TwoSat(n)
-    for k, opts in enumerate(options):
+    for k, opts in enumerate(l_options):
         if len(opts) == 1:
-            # Straight edge: both boolean values mean the same path;
-            # pin to True so clauses reference a consistent value.
             sat.force(k, True)
-    for k1, k2 in itertools.combinations(range(n), 2):
-        shared = _shared_points(edges[k1], edges[k2])
-        for v1, r1 in _boolean_options(options[k1]):
-            for v2, r2 in _boolean_options(options[k2]):
-                if paths_cross(r1, r2, ignore=shared):
-                    sat.forbid(k1, v1, k2, v2)
+    false_slot = np.array([len(opts) - 1 for opts in l_options])
+    slots = np.stack([np.zeros(n, dtype=np.intp), false_slot], axis=1)
+    rows = np.arange(idx1.shape[0])[:, None, None]
+    boolean = table[rows, slots[idx1][:, :, None], slots[idx2][:, None, :]]
+    for m, i1, i2 in zip(*(axis.tolist() for axis in np.nonzero(boolean))):
+        sat.forbid(int(idx1[m]), i1 == 0, int(idx2[m]), i2 == 0)
     assignment = sat.solve()
     if assignment is not None:
         paths = [
             opts[0] if len(opts) == 1 else opts[0 if assignment[k] else 1]
-            for k, opts in enumerate(options)
+            for k, opts in enumerate(l_options)
         ]
         return paths, 0
 
-    extended = [
-        opts + _staircase_routes(*edges[k]) for k, opts in enumerate(options)
-    ]
-    solved = _backtrack_realizations(edges, extended)
+    crossing: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for m, i1, i2 in zip(*(axis.tolist() for axis in np.nonzero(table))):
+        crossing.setdefault((int(idx1[m]), int(idx2[m])), set()).add((i1, i2))
+    solved = _backtrack_realizations(options, crossing)
     if solved is not None:
         return solved, 0
 
-    # Greedy fallback: minimize crossings edge by edge.
-    paths: list[RectilinearPath] = []
+    # Greedy fallback: minimize crossings edge by edge, each candidate
+    # tested against the already-placed earlier edges.
+    _, _, later_first = option_crossings(edges, options, pairs=(idx2, idx1))
+    earlier: dict[int, list[tuple[int, int]]] = {}
+    for m, (k, prev_k) in enumerate(zip(idx2.tolist(), idx1.tolist())):
+        earlier.setdefault(k, []).append((prev_k, m))
+    crossed = later_first.tolist()
+    chosen: list[int] = []
     total_crossings = 0
-    for k, opts in enumerate(extended):
-        best_path = None
+    for k, opts in enumerate(options):
+        best_index = 0
         best_crossings = math.inf
-        for candidate in opts:
-            crossings = 0
-            for prev_k, prev in enumerate(paths):
-                shared = _shared_points(edges[k], edges[prev_k])
-                if paths_cross(candidate, prev, ignore=shared):
-                    crossings += 1
+        for i in range(len(opts)):
+            crossings = sum(
+                crossed[m][i][chosen[prev_k]]
+                for prev_k, m in earlier.get(k, ())
+            )
             if crossings < best_crossings:
                 best_crossings = crossings
-                best_path = candidate
-        assert best_path is not None
-        paths.append(best_path)
+                best_index = i
+        chosen.append(best_index)
         total_crossings += int(best_crossings)
-    return paths, total_crossings
-
-
-def _boolean_options(opts):
-    """Map realization paths onto 2-SAT boolean values.
-
-    Index 0 (vertical-first) is True; straight edges expose their single
-    path under both values to keep clause generation uniform.
-    """
-    if len(opts) == 1:
-        return [(True, opts[0]), (False, opts[0])]
-    return [(True, opts[0]), (False, opts[1])]
+    return [options[k][i] for k, i in enumerate(chosen)], total_crossings
 
 
 def validate_ring_points(points: list[Point]) -> None:
@@ -675,7 +677,7 @@ def construct_ring_tour(
                 ]
                 try:
                     merged, cost = _merge_two_cycles(
-                        cycles[idx1], cycles[idx2], points, others
+                        cycles[idx1], cycles[idx2], points, others, conflicts
                     )
                 except SolveError:
                     continue

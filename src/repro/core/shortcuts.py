@@ -20,13 +20,14 @@ import enum
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geometry import (
     Point,
     RectilinearPath,
     SegmentSet,
     crossing_points,
     l_routes,
-    paths_cross,
 )
 from repro.core.ring import RingTour
 from repro.obs import get_obs
@@ -159,10 +160,11 @@ def _chord_is_clean(
     routing pitch of its terminals; proper crossings there correspond
     to the physical attachment taps, anything farther out is a real
     illegal crossing.  ``ring_set`` optionally pre-batches the ring
-    segments so repeat queries share one :class:`SegmentSet`.
+    segments so repeat queries share one :class:`SegmentSet`; all
+    segments of the chord are tested in one call.
     """
     if ring_set is None:
-        ring_set = SegmentSet.from_paths(tour.edge_paths)
+        ring_set = SegmentSet(tour.edge_paths)
     for point in ring_set.proper_crossings(chord, ignore=(pa, pb)):
         if point.manhattan(pa) > 0.5 and point.manhattan(pb) > 0.5:
             return False
@@ -175,16 +177,17 @@ def _feasible_realizations(
     node_b: int,
     ring_set: SegmentSet | None = None,
 ) -> list[RectilinearPath]:
-    """Chord realizations (L or staircase) crossing no ring waveguide."""
+    """Chord realizations (L or staircase) crossing no ring waveguide.
+
+    Every candidate is tested against the ring in one kernel call.
+    """
     pa = tour.points[node_a]
     pb = tour.points[node_b]
     if ring_set is None:
-        ring_set = SegmentSet.from_paths(tour.edge_paths)
-    feasible = []
-    for candidate in list(l_routes(pa, pb)) + _staircase_candidates(pa, pb):
-        if not ring_set.any_illegal(candidate, ignore=(pa, pb)):
-            feasible.append(candidate)
-    return feasible
+        ring_set = SegmentSet(tour.edge_paths)
+    candidates = list(l_routes(pa, pb)) + _staircase_candidates(pa, pb)
+    illegal = ring_set.illegal_each(candidates, ignore=(pa, pb))
+    return [path for path, bad in zip(candidates, illegal) if not bad]
 
 
 class _ChordMaze:
@@ -246,8 +249,6 @@ class _ChordMaze:
         edges around each segment is classified in one vectorized call
         instead of a Python loop per cell.
         """
-        import numpy as np
-
         from repro.geometry.conflicts_bulk import _segments_illegal
 
         pitch = self._PITCH
@@ -492,7 +493,7 @@ def select_shortcuts(
     n = tour.size
     points = tour.points
     demand_set = set(demands) if demands is not None else None
-    ring_set = SegmentSet.from_paths(tour.edge_paths)
+    ring_set = SegmentSet(tour.edge_paths)
     maze: _ChordMaze | None = None
 
     def best_ring(node_a: int, node_b: int) -> float:
@@ -547,6 +548,8 @@ def select_shortcuts(
     gain_evaluations = 0
     candidates = 0
     used_nodes: set[int] = set()
+    # The selected shortcuts' geometry, grown as shortcuts are accepted.
+    shortcut_set = SegmentSet()
     # Retry obstacles: the ring plus every selected shortcut, grown by
     # the paths accepted since the last retry.
     retry_blocked: bytearray | None = None
@@ -570,7 +573,7 @@ def select_shortcuts(
                 heapq.heappush(heap, (key, -gain, node_a, node_b, realizations))
             continue
         gain = -neg_value
-        chosen = _choose_realization(plan, realizations)
+        chosen = _choose_realization(plan, realizations, shortcut_set)
         if chosen is None:
             # Every stored realization tangles with selected shortcuts;
             # try a fresh maze chord that treats them as obstacles.
@@ -590,7 +593,7 @@ def select_shortcuts(
                 continue
             if not _chord_is_clean(tour, retry, points[node_a], points[node_b], ring_set):
                 continue
-            if any(paths_cross(retry, s.path) for s in plan.shortcuts):
+            if shortcut_set.any_illegal(retry):
                 continue
             gain = _ring_gain(tour, node_a, node_b, retry.length)
             chosen = (retry, None)
@@ -602,10 +605,10 @@ def select_shortcuts(
                 # Try a crossing-free realization instead, else skip.
                 clean = [
                     r
-                    for r in realizations
-                    if not any(
-                        paths_cross(r, other.path) for other in plan.shortcuts
+                    for r, bad in zip(
+                        realizations, shortcut_set.illegal_each(realizations)
                     )
+                    if not bad
                 ]
                 if not clean:
                     continue
@@ -634,6 +637,7 @@ def select_shortcuts(
                 crossing_dist_mm=_distance_along(other.path, point),
             )
         plan.shortcuts.append(shortcut)
+        shortcut_set.add(path)
         unblocked.append(path)
         used_nodes.update((node_a, node_b))
 
@@ -695,21 +699,22 @@ def _crossing_is_worth_it(
 
 
 def _choose_realization(
-    plan: ShortcutPlan, realizations: list[RectilinearPath]
+    plan: ShortcutPlan,
+    realizations: list[RectilinearPath],
+    shortcut_set: SegmentSet,
 ) -> tuple[RectilinearPath, int | None] | None:
     """Pick a realization crossing at most one partner-free shortcut.
 
     Prefers a crossing-free realization; otherwise one crossing exactly
     one already-selected shortcut that has no partner yet.  Returns
     ``None`` when every realization violates the crossing budget.
+    ``shortcut_set`` holds the paths of ``plan.shortcuts`` in order;
+    every realization is tested against it in one kernel call.
     """
     best: tuple[RectilinearPath, int | None] | None = None
-    for candidate in realizations:
-        crossed = [
-            idx
-            for idx, other in enumerate(plan.shortcuts)
-            if paths_cross(candidate, other.path)
-        ]
+    matrix = shortcut_set.illegal_matrix(realizations)
+    for candidate, row in zip(realizations, matrix):
+        crossed = np.flatnonzero(row).tolist()
         if not crossed:
             return candidate, None
         if len(crossed) == 1 and plan.shortcuts[crossed[0]].partner is None:

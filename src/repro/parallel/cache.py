@@ -38,7 +38,6 @@ from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.geometry.crossing import conflict_memo_stats
 from repro.obs import get_logger, get_obs
 
 _log = get_logger("parallel.cache")
@@ -322,18 +321,12 @@ class SynthesisCache:
         self.plans.clear()
 
     def stats(self) -> dict[str, dict[str, float]]:
-        """Per-section hit/miss/size/hit-rate counters.
-
-        Includes the fine-grained ``edges_conflict`` memo of
-        :mod:`repro.geometry.crossing` under ``"edges_conflict_memo"``
-        so one call captures the whole caching picture.
-        """
+        """Per-section hit/miss/size/hit-rate counters."""
         stats = {
             "conflicts": self.conflicts.stats(),
             "models": self.models.stats(),
             "tours": self.tours.stats(),
             "plans": self.plans.stats(),
-            "edges_conflict_memo": dict(conflict_memo_stats()),
         }
         if self.l2 is not None:
             try:
@@ -352,7 +345,7 @@ def get_cache() -> SynthesisCache:
 
 
 def clear_caches() -> None:
-    """Reset the global cache and the ``edges_conflict`` memo.
+    """Reset the global cache.
 
     Benchmarks call this between cold/warm phases; tests call it to
     isolate hit-rate assertions.  The durable L2 is *detached* (not
@@ -360,11 +353,8 @@ def clear_caches() -> None:
     store keeps its entries for the next attach — that is the whole
     point of durability.
     """
-    from repro.geometry.crossing import clear_conflict_memo
-
     _CACHE.clear()
     _CACHE.l2 = None
-    clear_conflict_memo()
 
 
 def configure_l2(

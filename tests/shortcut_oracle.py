@@ -18,18 +18,58 @@ import weakref
 from repro.core.shortcuts import (
     Shortcut,
     ShortcutPlan,
-    _chord_is_clean,
     _ChordMaze,
-    _choose_realization,
     _crossing_is_worth_it,
     _distance_along,
-    _feasible_realizations,
     _register_served_pairs,
     _ring_gain,
     _simplify,
+    _staircase_candidates,
 )
 from repro.core.ring import RingTour
-from repro.geometry import Point, SegmentSet, crossing_points, paths_cross
+from repro.geometry import Point, crossing_points, l_routes, paths_cross
+
+
+def _chord_is_clean(tour: RingTour, chord, pa: Point, pb: Point) -> bool:
+    """Scalar ``_chord_is_clean``: proper crossings ring edge by edge."""
+    for path in tour.edge_paths:
+        for point in crossing_points(chord, path, ignore=(pa, pb)):
+            if point.manhattan(pa) > 0.5 and point.manhattan(pb) > 0.5:
+                return False
+    return True
+
+
+def _feasible_realizations(tour: RingTour, node_a: int, node_b: int) -> list:
+    """Scalar ``_feasible_realizations``: one candidate and ring edge
+    at a time."""
+    pa = tour.points[node_a]
+    pb = tour.points[node_b]
+    return [
+        candidate
+        for candidate in list(l_routes(pa, pb)) + _staircase_candidates(pa, pb)
+        if not any(
+            paths_cross(candidate, path, ignore=(pa, pb))
+            for path in tour.edge_paths
+        )
+    ]
+
+
+def _choose_realization(plan: ShortcutPlan, realizations: list):
+    """Scalar ``_choose_realization``: one selected shortcut at a time."""
+    best = None
+    for candidate in realizations:
+        crossed = [
+            idx
+            for idx, other in enumerate(plan.shortcuts)
+            if paths_cross(candidate, other.path)
+        ]
+        if not crossed:
+            return candidate, None
+        if len(crossed) == 1 and plan.shortcuts[crossed[0]].partner is None:
+            proper = crossing_points(candidate, plan.shortcuts[crossed[0]].path)
+            if proper and best is None:
+                best = (candidate, crossed[0])
+    return best
 
 
 #: Each maze's ring obstacles as a set of edge keys, the form the
@@ -130,10 +170,9 @@ def route_all_pairs(tour: RingTour, pairs=None) -> list:
     if pairs is None:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     maze: _ChordMaze | None = None
-    ring_set = SegmentSet.from_paths(tour.edge_paths)
     candidates = []
     for node_a, node_b in sorted(pairs):
-        realizations = _feasible_realizations(tour, node_a, node_b, ring_set)
+        realizations = _feasible_realizations(tour, node_a, node_b)
         if not realizations:
             best_ring = min(
                 tour.cw_distance(node_a, node_b),
@@ -146,7 +185,7 @@ def route_all_pairs(tour: RingTour, pairs=None) -> list:
                 maze = _ChordMaze(tour)
             chord = eager_chord(maze, tour.points[node_a], tour.points[node_b])
             if chord is None or not _chord_is_clean(
-                tour, chord, tour.points[node_a], tour.points[node_b], ring_set
+                tour, chord, tour.points[node_a], tour.points[node_b]
             ):
                 continue
             realizations = [chord]
@@ -182,7 +221,6 @@ def select_shortcuts_eager(
         or (item[2], item[1]) in demand_set
     ]
     maze: _ChordMaze | None = None
-    ring_set = SegmentSet.from_paths(tour.edge_paths)
     if selection == "gain":
         candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
     else:
@@ -213,7 +251,7 @@ def select_shortcuts_eager(
             if retry is None or _ring_gain(tour, node_a, node_b, retry.length) <= 1e-9:
                 continue
             if not _chord_is_clean(
-                tour, retry, tour.points[node_a], tour.points[node_b], ring_set
+                tour, retry, tour.points[node_a], tour.points[node_b]
             ):
                 continue
             if any(paths_cross(retry, s.path) for s in plan.shortcuts):

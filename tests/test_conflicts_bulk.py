@@ -8,12 +8,15 @@ pair silently changes synthesis results.  This module pins:
 - ``build_edge_conflicts_bulk`` == ``build_edge_conflicts_scalar`` as
   whole dicts, over 200+ seeded random floorplans (n = 3..32) plus
   adversarial collinear / shared-row / shared-column layouts;
-- ``conflicting_edge_pairs`` (the lazy loop's incumbent check) agrees
-  with ``edges_conflict`` on explicit edge subsets;
-- ``SegmentSet.any_illegal`` / ``SegmentSet.proper_crossings`` agree
-  with ``paths_cross`` / ``crossing_points``;
-- the dispatcher (``build_edge_conflicts``) honors ``method=`` and its
-  size threshold;
+- ``conflicting_edge_pairs`` / ``conflicting_edge_indices`` (the lazy
+  loop's incumbent check, the heuristic ring's tour check) and
+  ``conflicts_between`` (the sub-cycle merge) agree with
+  ``edges_conflict`` on explicit edge lists in either orientation;
+- ``option_crossings`` (the ring realization table) agrees with
+  ``paths_cross`` option pair by option pair;
+- every ``SegmentSet`` query agrees with its per-segment scalar loop
+  over ``paths_cross`` / ``classify_intersection``;
+- ``build_edge_conflicts`` is the bulk kernel at every size;
 - both implementations reject duplicate coordinates the same way.
 
 Seeds are fixed so failures reproduce; REPRO_BULK_CASES scales the
@@ -28,18 +31,23 @@ import random
 
 import pytest
 
+from repro.core.ring import _staircase_routes
 from repro.geometry import (
-    BULK_THRESHOLD,
+    IntersectionKind,
     Point,
     RectilinearPath,
     SegmentSet,
     build_edge_conflicts,
     build_edge_conflicts_bulk,
     build_edge_conflicts_scalar,
+    classify_intersection,
+    conflicting_edge_indices,
     conflicting_edge_pairs,
+    conflicts_between,
     crossing_points,
     edges_conflict,
     l_routes,
+    option_crossings,
     paths_cross,
 )
 
@@ -69,6 +77,26 @@ def _cases() -> list[list[Point]]:
 
 CASES = _cases()
 
+#: Hand-built layouts that stress shared rows, columns and terminals.
+ADVERSARIAL_LAYOUTS = {
+    # One shared row: every edge collinear with every other.
+    "row": [Point(float(i), 0.0) for i in range(6)],
+    # One shared column.
+    "column": [Point(0.0, float(i)) for i in range(6)],
+    # Collinear run plus one off-line node (shared terminals meet at
+    # the hub in many pairings).
+    "hub": [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0), Point(1, 2)],
+    # Dense 3x3 grid: maximal shared rows/columns.
+    "grid3x3": [Point(float(c), float(r)) for c in range(3) for r in range(3)],
+    # Two clusters joined by long edges.
+    "clusters": [
+        Point(0, 0), Point(0.35, 0), Point(0, 0.35),
+        Point(7, 7), Point(7.35, 7), Point(7, 7.35),
+    ],
+    # EPS-jittered near-collinear coordinates.
+    "eps-jitter": [Point(0, 0), Point(1, 1e-12), Point(2, -1e-12), Point(1, 1)],
+}
+
 
 class TestBulkMatchesScalarOracle:
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -80,23 +108,8 @@ class TestBulkMatchesScalarOracle:
 
     @pytest.mark.parametrize(
         "points",
-        [
-            # One shared row: every edge collinear with every other.
-            [Point(float(i), 0.0) for i in range(6)],
-            # One shared column.
-            [Point(0.0, float(i)) for i in range(6)],
-            # Collinear run plus one off-line node (shared terminals
-            # meet at the hub in many pairings).
-            [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0), Point(1, 2)],
-            # Dense 3x3 grid: maximal shared rows/columns.
-            [Point(float(c), float(r)) for c in range(3) for r in range(3)],
-            # Two clusters joined by long edges.
-            [Point(0, 0), Point(0.35, 0), Point(0, 0.35),
-             Point(7, 7), Point(7.35, 7), Point(7, 7.35)],
-            # EPS-jittered near-collinear coordinates.
-            [Point(0, 0), Point(1, 1e-12), Point(2, -1e-12), Point(1, 1)],
-        ],
-        ids=["row", "column", "hub", "grid3x3", "clusters", "eps-jitter"],
+        list(ADVERSARIAL_LAYOUTS.values()),
+        ids=list(ADVERSARIAL_LAYOUTS),
     )
     def test_adversarial_layouts(self, points):
         assert build_edge_conflicts_bulk(points) == build_edge_conflicts_scalar(
@@ -141,6 +154,44 @@ class TestConflictingEdgePairs:
                 want.add(frozenset((e1, e2)))
         assert got == want
 
+    @pytest.mark.parametrize("case", [0, 5, 17, 42, 99])
+    def test_either_orientation_agrees_with_edges_conflict(self, case):
+        # Tour edges run in tour direction, so endpoints come unsorted.
+        rng = random.Random(SEED - case)
+        points = CASES[case]
+        order = rng.sample(range(len(points)), len(points))
+        n = len(order)
+        edges = [(order[k], order[(k + 1) % n]) for k in range(n)]
+        want = [
+            (k1, k2)
+            for k1, k2 in itertools.combinations(range(n), 2)
+            if edges_conflict(
+                (points[edges[k1][0]], points[edges[k1][1]]),
+                (points[edges[k2][0]], points[edges[k2][1]]),
+            )
+        ]
+        assert conflicting_edge_indices(points, edges) == want
+
+    @pytest.mark.parametrize("case", [1, 6, 18, 43, 98])
+    def test_conflicts_between_agrees_with_edges_conflict(self, case):
+        rng = random.Random(SEED + 7 * case)
+        points = CASES[case]
+        n = len(points)
+        firsts, seconds = [], []
+        for _ in range(40):
+            i, j, p, q = (rng.randrange(n) for _ in range(4))
+            if i != j and p != q:
+                firsts.append((i, j))
+                seconds.append((p, q))
+        got = conflicts_between(points, firsts, seconds).tolist()
+        want = [
+            edges_conflict(
+                (points[i], points[j]), (points[p], points[q])
+            )
+            for (i, j), (p, q) in zip(firsts, seconds)
+        ]
+        assert got == want
+
     def test_each_pair_reported_once(self):
         points = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
         edges = [(0, 2), (1, 3)]
@@ -164,8 +215,22 @@ def _random_paths(rng: random.Random, count: int) -> list[RectilinearPath]:
     return paths
 
 
+def _scalar_proper_crossings(query, stored, ignore) -> list[Point]:
+    """Per-segment loop the batched ``proper_crossings`` replaces."""
+    points = []
+    for s1 in query.segments:
+        for path in stored:
+            for s2 in path.segments:
+                inter = classify_intersection(s1, s2)
+                if inter.kind is IntersectionKind.CROSS and not any(
+                    inter.point.almost_equals(p) for p in ignore
+                ):
+                    points.append(inter.point)
+    return points
+
+
 class TestSegmentSet:
-    """Path-versus-set queries against the scalar path predicates."""
+    """Batched path-versus-set queries against their scalar loops."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_any_illegal_matches_paths_cross(self, seed):
@@ -173,11 +238,28 @@ class TestSegmentSet:
         stored = _random_paths(rng, 6)
         query = _random_paths(rng, 1)[0]
         ignore = (query.start, query.end)
-        sset = SegmentSet.from_paths(stored)
+        sset = SegmentSet(stored)
         want = any(paths_cross(query, p, ignore=ignore) for p in stored)
         assert sset.any_illegal(query, ignore=ignore) == want
         want_no_ignore = any(paths_cross(query, p) for p in stored)
         assert sset.any_illegal(query) == want_no_ignore
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_illegal_matrix_matches_paths_cross(self, seed):
+        rng = random.Random(SEED * 3 + seed)
+        stored = _random_paths(rng, rng.randint(1, 8))
+        queries = _random_paths(rng, rng.randint(1, 8))
+        ignore = (queries[0].start, queries[0].end)
+        sset = SegmentSet(stored)
+        for ign in ((), ignore):
+            want = [
+                [paths_cross(q, p, ignore=ign) for p in stored]
+                for q in queries
+            ]
+            assert sset.illegal_matrix(queries, ignore=ign).tolist() == want
+            assert sset.illegal_each(queries, ignore=ign) == [
+                any(row) for row in want
+            ]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_proper_crossings_match_crossing_points(self, seed):
@@ -185,7 +267,10 @@ class TestSegmentSet:
         stored = _random_paths(rng, 6)
         query = _random_paths(rng, 1)[0]
         ignore = (query.start, query.end)
-        sset = SegmentSet.from_paths(stored)
+        sset = SegmentSet(stored)
+        assert sset.proper_crossings(query, ignore=ignore) == (
+            _scalar_proper_crossings(query, stored, ignore)
+        )
         got = {(round(p.x, 9), round(p.y, 9))
                for p in sset.proper_crossings(query, ignore=ignore)}
         want = {
@@ -195,28 +280,104 @@ class TestSegmentSet:
         }
         assert got == want
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grown_set_matches_a_fresh_one(self, seed):
+        rng = random.Random(SEED * 5 + seed)
+        stored = _random_paths(rng, 6)
+        queries = _random_paths(rng, 4)
+        grown = SegmentSet()
+        for k, path in enumerate(stored):
+            grown.add(path)
+            fresh = SegmentSet(stored[: k + 1])
+            assert (
+                grown.illegal_matrix(queries).tolist()
+                == fresh.illegal_matrix(queries).tolist()
+            )
+
     def test_empty_set(self):
-        sset = SegmentSet.from_paths([])
+        sset = SegmentSet([])
         query = RectilinearPath([Point(0, 0), Point(1, 0)])
         assert not sset.any_illegal(query)
+        assert sset.illegal_matrix([query, query]).shape == (2, 0)
+        assert sset.illegal_each([query]) == [False]
         assert sset.proper_crossings(query) == []
 
 
-class TestDispatcher:
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            build_edge_conflicts([Point(0, 0), Point(1, 0)], method="nope")
+def _tour_options(points, order):
+    n = len(order)
+    edges = [(points[order[k]], points[order[(k + 1) % n]]) for k in range(n)]
+    options = [
+        list(l_routes(*edge)) + _staircase_routes(*edge) for edge in edges
+    ]
+    return edges, options
+
+
+def _shared(e1, e2):
+    return [p for p in e1 if p.almost_equals(e2[0]) or p.almost_equals(e2[1])]
+
+
+class TestOptionCrossings:
+    """The ring realization table against pairwise ``paths_cross``."""
+
+    @pytest.mark.parametrize("case", range(0, len(CASES), 4))
+    def test_table_matches_paths_cross(self, case):
+        points = CASES[case]
+        order = random.Random(SEED + case).sample(range(len(points)), len(points))
+        edges, options = _tour_options(points, order)
+        idx1, idx2, table = option_crossings(edges, options)
+        near = dict(zip(zip(idx1.tolist(), idx2.tolist()), table.tolist()))
+        for k1, k2 in itertools.combinations(range(len(edges)), 2):
+            shared = _shared(edges[k1], edges[k2])
+            want = [
+                [paths_cross(r1, r2, ignore=shared) for r2 in options[k2]]
+                for r1 in options[k1]
+            ]
+            got = near.get((k1, k2))
+            if got is None:
+                # Pairs the box prefilter drops never cross.
+                assert not any(map(any, want))
+                continue
+            assert [row[: len(options[k2])] for row in got[: len(options[k1])]] == want
+
+    @pytest.mark.parametrize("case", [2, 9, 30])
+    def test_explicit_pairs_keep_their_orientation(self, case):
+        points = CASES[case]
+        order = list(range(len(points)))
+        edges, options = _tour_options(points, order)
+        pairs = [(k1, k2) for k1 in range(len(edges)) for k2 in range(k1)]
+        idx1, idx2, table = option_crossings(
+            edges, options, pairs=([p[0] for p in pairs], [p[1] for p in pairs])
+        )
+        assert list(zip(idx1.tolist(), idx2.tolist())) == pairs
+        for (k1, k2), got in zip(pairs, table.tolist()):
+            shared = _shared(edges[k1], edges[k2])
+            for i1, r1 in enumerate(options[k1]):
+                for i2, r2 in enumerate(options[k2]):
+                    assert got[i1][i2] == paths_cross(r1, r2, ignore=shared)
+
+
+class TestEntryPoint:
+    """``build_edge_conflicts`` is the bulk kernel at every size."""
 
     def test_explicit_methods_agree(self):
         points = CASES[1]
-        assert build_edge_conflicts(points, method="bulk") == \
-            build_edge_conflicts(points, method="scalar")
-
-    def test_auto_uses_bulk_above_threshold(self):
-        # Above the threshold "auto" and "bulk" must be the same path;
-        # equality with the scalar oracle is what makes that safe.
-        rng = random.Random(SEED)
-        points = _random_floorplan(rng, BULK_THRESHOLD + 2)
-        assert build_edge_conflicts(points) == build_edge_conflicts(
-            points, method="scalar"
+        assert build_edge_conflicts_bulk(points) == build_edge_conflicts_scalar(
+            points
         )
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 11])
+    def test_small_floorplans_use_the_kernel(self, n, monkeypatch):
+        from repro.geometry import conflicts_bulk
+
+        rng = random.Random(SEED + n)
+        points = _random_floorplan(rng, n)
+        calls = []
+        real = conflicts_bulk.conflicting_edge_indices
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(conflicts_bulk, "conflicting_edge_indices", counting)
+        assert build_edge_conflicts(points) == build_edge_conflicts_scalar(points)
+        assert len(calls) == 1

@@ -1,6 +1,5 @@
 """Unit and property tests for crossing predicates and edge conflicts."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,63 +124,3 @@ class TestConflictFreeRealizations:
         pairs = conflict_free_realizations(e1, e2)
         assert len(pairs) == len(l_routes(*e1)) * len(l_routes(*e2))
 
-
-class TestConflictMemoStats:
-    """The memo's observability, including the cap-wipe blind spot.
-
-    Before ``evictions`` existed, a memo hitting its cap silently
-    reset ``size`` to zero and the hit rate cratered with no visible
-    cause.  These tests pin the counter contract.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _fresh_memo(self):
-        from repro.geometry import crossing
-
-        crossing.clear_conflict_memo()
-        yield
-        crossing.clear_conflict_memo()
-
-    def test_hits_misses_and_size(self):
-        from repro.geometry.crossing import conflict_memo_stats
-
-        e1 = (Point(0, 0), Point(3, 0))
-        e2 = (Point(1, 1), Point(1, 4))
-        edges_conflict(e1, e2)
-        edges_conflict(e1, e2)
-        edges_conflict(e2, e1)  # canonicalized: same key
-        stats = conflict_memo_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 2
-        assert stats["size"] == 1
-        assert stats["evictions"] == 0
-
-    def test_cap_wipe_is_counted_as_evictions(self, monkeypatch):
-        from repro.geometry import crossing
-
-        monkeypatch.setattr(crossing, "_CONFLICT_MEMO_CAP", 3)
-        edges = [
-            ((Point(0, float(k)), Point(5, float(k))),
-             (Point(1, -1), Point(1, 9)))
-            for k in range(5)
-        ]
-        for e1, e2 in edges:
-            edges_conflict(e1, e2)
-        stats = crossing.conflict_memo_stats()
-        assert stats["misses"] == 5
-        # The wipe fires when the memo reaches the cap; everything it
-        # held at that moment is counted, and size restarts small.
-        assert stats["evictions"] >= 3
-        assert stats["size"] < 5
-        assert stats["size"] + stats["evictions"] == stats["misses"]
-
-    def test_clear_resets_all_counters(self):
-        from repro.geometry import crossing
-
-        e1 = (Point(0, 0), Point(3, 0))
-        e2 = (Point(1, 1), Point(1, 4))
-        edges_conflict(e1, e2)
-        crossing.clear_conflict_memo()
-        assert crossing.conflict_memo_stats() == {
-            "hits": 0, "misses": 0, "size": 0, "evictions": 0,
-        }

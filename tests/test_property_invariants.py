@@ -49,10 +49,10 @@ def _random_floorplan(rng: random.Random) -> list[Point]:
     Sampling lattice cells without replacement guarantees distinct
     positions (a synthesis precondition); collinear runs and shared
     rows/columns — the hard cases for rectilinear crossing checks —
-    stay plentiful.  The upper bound deliberately exceeds
-    ``repro.geometry.conflicts_bulk.BULK_THRESHOLD`` so the invariant
-    checks exercise the vectorized conflict kernel, not only the
-    scalar fallback.
+    stay plentiful.  Every size runs on the vectorized crossing kernel
+    of ``repro.geometry.conflicts_bulk``; ``tests/test_ring_oracle.py``
+    and ``tests/test_shortcut_oracle.py`` replay this corpus against
+    the scalar oracles.
     """
     n = rng.randint(4, 16)
     side = rng.randint(4, 6)

@@ -227,3 +227,67 @@ class TestResidualRingCrossings:
         assert record.fallback == "milp_ring"
         assert design.tour.crossing_count == 0
         assert validate_design(design) == []
+
+
+class TestGatesIndependentOfKernel:
+    """The gates keep the scalar ``paths_cross``, so a bulk crossing
+    kernel that reports no interaction at all cannot hide a violation
+    from them."""
+
+    @staticmethod
+    def _blind(monkeypatch):
+        import numpy as np
+
+        from repro.geometry import conflicts_bulk
+
+        def no_interactions(s1, s2, ignore):
+            shape = np.broadcast_shapes(s1.shape[:-1], s2.shape[:-1])
+            return np.zeros(shape, dtype=bool)
+
+        monkeypatch.setattr(conflicts_bulk, "_segments_illegal", no_interactions)
+
+    def test_shortcut_crossing_two_others_is_flagged(self, clean_design, monkeypatch):
+        from repro.core.shortcuts import Shortcut, ShortcutPlan
+        from repro.geometry import Point, RectilinearPath, SegmentSet
+
+        def chord(*pts):
+            return RectilinearPath([Point(x, y) for x, y in pts])
+
+        # One horizontal chord crossed by two vertical ones.
+        bar = chord((0, 1), (4, 1))
+        poles = [chord((1, 0), (1, 2)), chord((3, 0), (3, 2))]
+        self._blind(monkeypatch)
+        assert not SegmentSet(poles).any_illegal(bar)
+        plan = ShortcutPlan(
+            shortcuts=[
+                Shortcut(0, 1, bar, 1.0, partner=1),
+                Shortcut(2, 3, poles[0], 1.0, partner=0),
+                Shortcut(4, 5, poles[1], 1.0),
+            ]
+        )
+        stub = dataclasses.replace(clean_design, shortcut_plan=plan)
+        messages = [v.message for v in validate_design(stub, rules=("shortcuts",))]
+        assert any("crosses 2 other shortcuts" in m for m in messages)
+
+    def test_ring_with_residual_crossing_is_flagged(self, monkeypatch):
+        from repro.core import ring
+        from repro.core.design import XRingDesign
+        from repro.core.mapping import SignalMapping
+        from repro.core.shortcuts import ShortcutPlan
+
+        points = _jittered_extended16(21)
+        tour = ring.construct_ring_tour(list(points))
+        assert tour.crossing_count == 1
+        self._blind(monkeypatch)
+        # The blinded kernel would call the same tour crossing-free...
+        assert ring._choose_realizations(list(tour.order), list(points))[1] == 0
+        # ...but the gate reads the tour it is given.
+        stub = XRingDesign(
+            network=Network.from_positions(points),
+            tour=tour,
+            shortcut_plan=ShortcutPlan(),
+            mapping=SignalMapping(),
+        )
+        violations = validate_design(stub, rules=("tour",))
+        assert [v.rule for v in violations] == ["tour"]
+        assert "crossing" in violations[0].message
