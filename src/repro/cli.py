@@ -72,7 +72,7 @@ from repro.photonics import NIKDAST_CROSSTALK, ORING_LOSSES
 from repro.robustness import SynthesisError
 
 #: ``command -> ledger kind`` for run-history recording (commands not
-#: listed — regress/report — never record themselves).
+#: listed — regress/report/mine — never record themselves).
 _HISTORY_KINDS = {
     "synth": "synth",
     "batch": "batch",
@@ -661,45 +661,63 @@ def _ledger_from_args(args: argparse.Namespace):
     return RunLedger(args.history_dir or LEDGER_DIRNAME)
 
 
+def _ledger_runs(ledger, run_ids: list[str], command: str) -> list | None:
+    """The records for ``run_ids`` (unique prefixes accepted), or
+    ``None`` after saying on stderr which id did not resolve."""
+    try:
+        records = [ledger.get(run_id) for run_id in run_ids]
+    except ValueError as exc:
+        print(f"xring {command}: {exc}", file=sys.stderr)
+        return None
+    for run_id, record in zip(run_ids, records):
+        if record is None:
+            print(
+                f"xring {command}: no run matching {run_id!r} in {ledger.path}",
+                file=sys.stderr,
+            )
+            return None
+    return records
+
+
+def _print_verdict(verdict, out: str, command: str) -> None:
+    """Markdown to stdout, warnings and the summary to stderr, and the
+    verdict JSON to ``out`` when set."""
+    from repro.obs import atomic_write_text, render_markdown
+
+    print(render_markdown(verdict), end="")
+    for warning in verdict.warnings:
+        print(f"xring {command}: warning: {warning}", file=sys.stderr)
+    if out:
+        atomic_write_text(out, verdict.to_json())
+        print(f"verdict written: {out}", file=sys.stderr)
+    print(verdict.summary(), file=sys.stderr)
+
+
 def _cmd_regress(args: argparse.Namespace) -> int:
     """Compare recent ledger runs against a baseline; exit 1 on regression.
 
-    Candidate = the ``--median-of`` most recent matching ledger
-    entries.  Baseline = ``--baseline <run-id>`` (prefix ok),
-    ``--baseline-file <jsonl>`` (a committed baseline), or — by
-    default — the ``--median-of`` entries immediately preceding the
-    candidate group.  Exit codes: 0 ok, 1 regression, 2 usage/data
-    error.
+    Candidate = the ``--median-of`` most recent entries of the newest
+    matching run's ``(kind, label)`` group.  Baseline = ``--baseline
+    <run-id>`` (prefix ok), that group's records in ``--baseline-file
+    <jsonl>`` (a committed baseline), or — by default — the group's
+    ``--median-of`` entries immediately preceding the candidate.  Exit
+    codes: 0 ok, 1 regression, 2 usage/data error.
     """
-    from repro.obs import (
-        RegressionThresholds,
-        atomic_write_text,
-        compare_runs,
-        render_markdown,
-    )
+    from repro.obs import Thresholds, compare_runs
+    from repro.obs.judge import in_group
 
     ledger = _ledger_from_args(args)
-    kind = args.kind or None
-    label = args.label or None
-    entries = ledger.entries(kind=kind, label=label)
-    k = max(1, args.median_of)
-    candidate = entries[-k:]
-    if not candidate:
+    entries = ledger.entries(kind=args.kind or None, label=args.label or None)
+    if not entries:
         print(f"xring regress: no matching runs in {ledger.path}", file=sys.stderr)
         return 2
+    entries = in_group(entries, entries[-1])
+    k = max(1, args.median_of)
+    candidate = entries[-k:]
     if args.baseline:
-        try:
-            record = ledger.get(args.baseline)
-        except ValueError as exc:
-            print(f"xring regress: {exc}", file=sys.stderr)
+        baseline = _ledger_runs(ledger, [args.baseline], "regress")
+        if baseline is None:
             return 2
-        if record is None:
-            print(
-                f"xring regress: no run matching {args.baseline!r} in {ledger.path}",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = [record]
     elif args.baseline_file:
         try:
             baseline = _load_baseline_file(args.baseline_file)
@@ -707,12 +725,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             print(f"xring regress: bad baseline file: {exc}", file=sys.stderr)
             return 2
         # A committed baseline may hold records for several benchmarks;
-        # apply the same kind/label filters the candidate side uses so
-        # unrelated records never mix into one verdict.
-        if kind:
-            baseline = [record for record in baseline if record.kind == kind]
-        if label:
-            baseline = [record for record in baseline if record.label == label]
+        # only the candidate's group is comparable.
+        baseline = in_group(baseline, candidate[-1])
     else:
         baseline = entries[-2 * k : -k]
     if not baseline:
@@ -722,20 +736,13 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    thresholds = RegressionThresholds(
+    thresholds = Thresholds(
         latency_rel=args.latency_rel,
         min_latency_s=args.min_latency,
         quality_abs=args.quality_abs,
-        counter_rel=args.counter_rel,
     )
     verdict = compare_runs(baseline, candidate, thresholds)
-    print(render_markdown(verdict), end="")
-    for warning in verdict.warnings:
-        print(f"xring regress: warning: {warning}", file=sys.stderr)
-    if args.out:
-        atomic_write_text(args.out, verdict.to_json())
-        print(f"verdict written: {args.out}", file=sys.stderr)
-    print(verdict.summary(), file=sys.stderr)
+    _print_verdict(verdict, args.out, "regress")
     return 1 if verdict.regressed else 0
 
 
@@ -755,25 +762,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
 
     ledger = _ledger_from_args(args)
-    kind = args.kind or None
-    label = args.label or None
-    records = ledger.last(args.last, kind=kind, label=label)
+    records = ledger.last(args.last, kind=args.kind or None, label=args.label or None)
     if not records:
         print(f"xring report: no matching runs in {ledger.path}", file=sys.stderr)
         return 2
     verdict = None
     if args.compare:
-        try:
-            sides = [ledger.get(run_id) for run_id in args.compare]
-        except ValueError as exc:
-            print(f"xring report: {exc}", file=sys.stderr)
-            return 2
-        missing = [rid for rid, rec in zip(args.compare, sides) if rec is None]
-        if missing:
-            print(
-                f"xring report: no run matching {missing[0]!r} in {ledger.path}",
-                file=sys.stderr,
-            )
+        sides = _ledger_runs(ledger, args.compare, "report")
+        if sides is None:
             return 2
         verdict = compare_runs([sides[0]], [sides[1]])
     if args.format == "html":
@@ -812,50 +808,36 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    """Mine the run ledger for anomalous runs (``xring mine``).
+    """Flag anomalous ledger runs (``xring mine``), a view over
+    :func:`repro.obs.judge.mine_ledger`.
 
-    Robust median/MAD outlier detection over every numeric signal the
-    ledger records — wall time, stage-latency p99s, design quality,
-    supervisor counters, cache hit rates — grouped by (kind, label) so
-    different workloads never share a baseline.  Exit codes mirror
-    ``regress``: 1 when anomalies were flagged, 2 when the ledger has
-    too little data, 0 when every run sits inside the z-threshold.
-
-    ``--promote DIR`` writes a fixture-candidate JSON stub per flagged
-    run (options hash, environment fingerprint, flagged metrics) so an
-    outlier floorplan can be triaged into the golden corpus.
+    Exit codes: 0 clean, 1 a run was flagged, 2 bad parameters or no
+    ``(kind, label)`` group with ``--min-runs`` runs.  ``--promote DIR``
+    writes a golden-fixture candidate stub per flagged run.
     """
-    from repro.obs import atomic_write_text, mine_ledger, promote_candidates
+    from repro.obs import Thresholds, mine_ledger, promote_candidates
 
-    if args.min_runs < 3 or args.z_threshold <= 0:
-        print(
-            "xring mine: --min-runs must be >= 3 and --z-threshold > 0",
-            file=sys.stderr,
-        )
+    try:
+        thresholds = Thresholds(z_threshold=args.z_threshold, min_runs=args.min_runs)
+    except ValueError as exc:
+        print(f"xring mine: {exc}", file=sys.stderr)
         return 2
     ledger = _ledger_from_args(args)
-    records = ledger.entries(
-        kind=args.kind or None, label=args.label or None
-    )
-    if len(records) < args.min_runs:
+    records = ledger.entries(kind=args.kind or None, label=args.label or None)
+    verdict = mine_ledger(records, thresholds)
+    _print_verdict(verdict, args.json, "mine")
+    if args.promote and verdict.regressed:
+        paths = promote_candidates(verdict, records, args.promote)
+        for path in paths:
+            print(f"fixture candidate written: {path}", file=sys.stderr)
+    if verdict.groups == verdict.skipped_small_groups:
         print(
-            f"xring mine: {len(records)} matching run(s) in {ledger.path}; "
-            f"need at least {args.min_runs}",
+            f"xring mine: no (kind, label) group in {ledger.path} has "
+            f"{args.min_runs} runs to judge",
             file=sys.stderr,
         )
         return 2
-    report = mine_ledger(
-        records, z_threshold=args.z_threshold, min_runs=args.min_runs
-    )
-    print(report.render_text(), end="")
-    if args.json:
-        atomic_write_text(args.json, json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"report written: {args.json}", file=sys.stderr)
-    if args.promote and report.anomalies:
-        paths = promote_candidates(report, records, args.promote)
-        for path in paths:
-            print(f"fixture candidate written: {path}", file=sys.stderr)
-    return 1 if report.anomalies else 0
+    return 1 if verdict.regressed else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -928,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a run record (env fingerprint, stage latency "
         "percentiles, solver counters, design quality) to the ledger "
         "in this directory (.xring_history by convention); consumed "
-        "by 'xring regress' and 'xring report'",
+        "by 'xring regress', 'xring mine' and 'xring report'",
     )
 
     # Sampling-profiler flags (synth and batch).
@@ -950,6 +932,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="profiler sampling rate (default 97 Hz — deliberately not "
         "a round number, to avoid phase-locking with periodic work)",
     )
+
+    # Run filters shared by the ledger judge's commands.
+    ledger_filter = argparse.ArgumentParser(add_help=False, parents=[obs])
+    ledger_filter.add_argument("--kind", type=str, default="", help="filter runs by kind")
+    ledger_filter.add_argument("--label", type=str, default="", help="filter runs by label")
 
     # Batch-engine flag shared by every experiment subcommand.
     pool = argparse.ArgumentParser(add_help=False)
@@ -1333,14 +1320,14 @@ def build_parser() -> argparse.ArgumentParser:
         "regress",
         help="compare recent ledger runs against a baseline; "
         "exit 1 on a perf/quality regression",
-        parents=[obs],
+        parents=[ledger_filter],
     )
     regress.add_argument(
         "--baseline",
         type=str,
         default="",
         help="baseline run id from the ledger (unique prefix accepted); "
-        "default: the runs immediately preceding the candidate group",
+        "default: the candidate group's immediately preceding runs",
     )
     regress.add_argument(
         "--baseline-file",
@@ -1356,8 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the median over the K most recent runs on each "
         "side (noise suppression; default 1)",
     )
-    regress.add_argument("--kind", type=str, default="", help="filter runs by kind")
-    regress.add_argument("--label", type=str, default="", help="filter runs by label")
     regress.add_argument(
         "--latency-rel",
         type=float,
@@ -1379,13 +1364,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed absolute worsening of a design-quality metric",
     )
     regress.add_argument(
-        "--counter-rel",
-        type=float,
-        default=None,
-        help="flag solver-counter growth beyond this fraction "
-        "(default: counters are informational only)",
-    )
-    regress.add_argument(
         "--out", type=str, default="", help="write the verdict JSON artifact here"
     )
     regress.set_defaults(func=_cmd_regress)
@@ -1393,13 +1371,11 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="render ledger entries as a markdown/HTML report",
-        parents=[obs],
+        parents=[ledger_filter],
     )
     report.add_argument(
         "--last", type=int, default=10, help="how many recent runs to include"
     )
-    report.add_argument("--kind", type=str, default="", help="filter runs by kind")
-    report.add_argument("--label", type=str, default="", help="filter runs by label")
     report.add_argument(
         "--compare",
         type=str,
@@ -1453,10 +1429,8 @@ def build_parser() -> argparse.ArgumentParser:
         "mine",
         help="mine the run ledger for anomalous runs (robust "
         "median/MAD outliers); exit 1 when any run was flagged",
-        parents=[obs],
+        parents=[ledger_filter],
     )
-    mine.add_argument("--kind", type=str, default="", help="filter runs by kind")
-    mine.add_argument("--label", type=str, default="", help="filter runs by label")
     mine.add_argument(
         "--z-threshold",
         type=float,

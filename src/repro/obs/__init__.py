@@ -34,8 +34,11 @@ flow actually did:
 - :mod:`repro.obs.slo` — declarative :class:`SLO` objectives with
   multi-window burn-rate alerting and hysteresis
   (:class:`AlertEngine`, behind the service's ``/alerts``);
-- :mod:`repro.obs.anomaly` — robust median/MAD outlier mining over the
-  run ledger (the ``xring mine`` subcommand).
+- :mod:`repro.obs.judge` — the ledger judge behind ``xring regress``,
+  ``xring mine`` and ``xring report``: one metric table, one
+  :class:`Thresholds` config and one :class:`Verdict` type, reduced
+  either as a median-of-k diff (:func:`compare_runs`) or as a robust-z
+  scan per ``(kind, label)`` group (:func:`mine_ledger`).
 
 Everything is no-op-cheap when disabled: the default ambient context
 pairs :data:`NULL_TRACER` with :data:`NULL_METRICS`, both guarded by a
@@ -70,11 +73,16 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
 )
-from repro.obs.anomaly import (
-    Anomaly,
-    AnomalyReport,
+from repro.obs.judge import (
+    Finding,
+    Thresholds,
+    Verdict,
+    compare_runs,
     mine_ledger,
     promote_candidates,
+    render_html,
+    render_markdown,
+    render_trend_markdown,
     robust_zscore,
 )
 from repro.obs.openmetrics import (
@@ -105,14 +113,6 @@ from repro.obs.slo import (
     stderr_sink,
 )
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.regress import (
-    RegressionThresholds,
-    RegressionVerdict,
-    compare_runs,
-    render_html,
-    render_markdown,
-    render_trend_markdown,
-)
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, walk_tree
 
 __all__ = [
@@ -147,12 +147,16 @@ __all__ = [
     "options_fingerprint",
     "quality_from_evaluation",
     "stage_latency_from_elapsed",
-    "RegressionThresholds",
-    "RegressionVerdict",
+    "Finding",
+    "Thresholds",
+    "Verdict",
     "compare_runs",
+    "mine_ledger",
+    "promote_candidates",
     "render_html",
     "render_markdown",
     "render_trend_markdown",
+    "robust_zscore",
     "sanitize_metric_name",
     "to_openmetrics",
     "parse_exposition",
@@ -163,11 +167,6 @@ __all__ = [
     "default_service_slos",
     "stderr_sink",
     "file_sink",
-    "Anomaly",
-    "AnomalyReport",
-    "mine_ledger",
-    "promote_candidates",
-    "robust_zscore",
     "current_request_id",
     "use_request_id",
     "ObsContext",

@@ -25,9 +25,9 @@ deterministic payload (everything except the timestamp), and
 ``run_id`` embeds the creation time plus a fingerprint prefix, so two
 ledger entries with equal fingerprints describe equal runs.
 
-:mod:`repro.obs.regress` consumes the ledger for noise-aware
-regression verdicts (``xring regress``) and trend reports
-(``xring report``).
+:mod:`repro.obs.judge` consumes the ledger for regression verdicts
+(``xring regress``), anomaly mining (``xring mine``) and trend
+reports (``xring report``).
 """
 
 from __future__ import annotations

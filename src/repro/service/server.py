@@ -189,13 +189,15 @@ class ServiceServer:
     async def _obs_loop(self) -> None:
         """Scrape the registry into history and evaluate SLOs forever."""
         interval = self.config.scrape_interval_s
+        # Sample at boot, before the first sleep: counters that move
+        # within the first interval must still show up as window deltas.
         while True:
-            await asyncio.sleep(interval)
             try:
                 self.timeseries.observe(self.metrics.snapshot())
                 self.alerts.evaluate()
             except Exception:  # observability must never kill the loop
                 _log.warning("metrics scrape/SLO evaluation failed", exc_info=True)
+            await asyncio.sleep(interval)
 
     async def shutdown(self) -> dict[str, Any]:
         """Graceful drain: finish in-flight work, then stop listening."""

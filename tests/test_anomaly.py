@@ -1,4 +1,4 @@
-"""Ledger anomaly mining (repro.obs.anomaly) and ``xring mine``.
+"""Ledger anomaly mining (repro.obs.judge's scan) and ``xring mine``.
 
 The acceptance path: seed a multi-run ledger with one known-bad run
 (a latency spike), mine it, and the outlier is flagged — through the
@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.obs import (
     RunLedger,
     RunRecord,
+    Thresholds,
     mine_ledger,
     promote_candidates,
     robust_zscore,
@@ -59,11 +60,11 @@ class TestMineLedger:
     def test_seeded_latency_spike_is_flagged(self):
         records = [_record(i) for i in range(7)]
         records.append(_record(7, wall_s=40.0, ring_p99=20.0))
-        report = mine_ledger(records, z_threshold=3.5)
+        report = mine_ledger(records, Thresholds(z_threshold=3.5))
         assert report.scanned == 8 and report.groups == 1
         flagged = report.flagged_runs
         assert flagged == ["synth-2026-0007"]
-        metrics = {a.metric for a in report.anomalies}
+        metrics = {a.metric for a in report.regressions}
         assert "wall_s" in metrics and "stage.ring.p99_s" in metrics
 
     def test_good_outliers_are_not_flagged(self):
@@ -71,29 +72,29 @@ class TestMineLedger:
         high SNR is a delight, not an anomaly."""
         records = [_record(i, wall_s=2.0 + 0.01 * i) for i in range(7)]
         records.append(_record(7, wall_s=0.1, snr=40.0))
-        report = mine_ledger(records, z_threshold=3.5)
-        assert report.anomalies == []
+        report = mine_ledger(records, Thresholds(z_threshold=3.5))
+        assert report.regressions == []
 
     def test_low_is_bad_metrics_flag_downward(self):
         records = [_record(i, snr=18.0 + 0.05 * i) for i in range(7)]
         records.append(_record(7, snr=2.0))
         report = mine_ledger(records)
         assert report.flagged_runs == ["synth-2026-0007"]
-        assert any(a.metric == "quality.snr_worst_db" and a.direction == "low"
-                   for a in report.anomalies)
+        assert any(a.metric == "quality.snr_worst_db" and a.bad == "low"
+                   for a in report.regressions)
 
     def test_cache_hit_rate_collapse_flags(self):
         records = [_record(i, conflicts_rate=0.9 + 0.001 * i) for i in range(7)]
         records.append(_record(7, conflicts_rate=0.05))
         report = mine_ledger(records)
         assert any(a.metric == "cache.conflicts.hit_rate"
-                   for a in report.anomalies)
+                   for a in report.regressions)
 
     def test_supervisor_retry_spike_flags(self):
         records = [_record(i, retries=i % 2) for i in range(8)]
         records.append(_record(8, retries=50))
         report = mine_ledger(records)
-        assert any(a.metric == "supervisor.retries" for a in report.anomalies)
+        assert any(a.metric == "supervisor.retries" for a in report.regressions)
 
     def test_groups_are_isolated(self):
         """A slow-but-normal big case must not be judged against the
@@ -101,18 +102,18 @@ class TestMineLedger:
         small = [_record(i, label="small", wall_s=1.0) for i in range(5)]
         big = [_record(10 + i, label="big", wall_s=60.0 + i) for i in range(5)]
         report = mine_ledger(small + big)
-        assert report.groups == 2 and report.anomalies == []
+        assert report.groups == 2 and report.regressions == []
 
     def test_small_groups_are_skipped_not_judged(self):
         report = mine_ledger([_record(0), _record(1, wall_s=99.0)])
-        assert report.anomalies == []
+        assert report.regressions == []
         assert report.skipped_small_groups == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            mine_ledger([], z_threshold=0.0)
+            mine_ledger([], Thresholds(z_threshold=0.0))
         with pytest.raises(ValueError):
-            mine_ledger([], min_runs=2)
+            mine_ledger([], Thresholds(min_runs=2))
 
     def test_report_is_json_safe(self):
         records = [_record(i, wall_s=2.0) for i in range(6)]
@@ -120,7 +121,7 @@ class TestMineLedger:
         report = mine_ledger(records)
         text = json.dumps(report.to_dict())  # inf must serialize
         assert "Infinity" not in text
-        assert report.render_text().startswith("mined 7 run(s)")
+        assert report.summary().startswith("mined 7 run(s)")
 
 
 class TestPromotion:
@@ -167,6 +168,12 @@ class TestMineCLI:
     def test_insufficient_data_exits_2(self, tmp_path):
         self._seed(tmp_path, [_record(0)])
         assert main(["mine", "--history-dir", str(tmp_path)]) == 2
+
+    def test_every_group_too_small_exits_2(self, tmp_path, capsys):
+        """Four runs under four labels: no group can be judged."""
+        self._seed(tmp_path, [_record(i, label=f"l{i}") for i in range(4)])
+        assert main(["mine", "--history-dir", str(tmp_path)]) == 2
+        assert "4 too small to judge" in capsys.readouterr().err
 
     def test_bad_parameters_exit_2(self, tmp_path):
         assert main(["mine", "--history-dir", str(tmp_path),
