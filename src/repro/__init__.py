@@ -3,7 +3,7 @@
 A from-scratch Python reproduction of *"XRing: A Crosstalk-Aware
 Synthesis Method for Wavelength-Routed Optical Ring Routers"* (Zheng,
 Tseng, Li, Schlichtmann — DATE 2023), including every substrate the
-paper's evaluation depends on: an MILP layer with two solver backends,
+paper's evaluation depends on: an MILP layer on HiGHS,
 a 2-SAT realization selector, rectilinear layout geometry, a photonic
 circuit analyzer (insertion loss, first-order crosstalk, laser power),
 the ring baselines ORNoC and ORing, the crossbar topologies λ-router /

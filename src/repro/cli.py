@@ -169,7 +169,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         pdn_mode=None if args.no_pdn else "internal",
         deadline_s=args.deadline,
         on_error=args.on_error,
-        milp_backend=args.milp_backend,
         lazy_conflicts={"auto": None, "on": True, "off": False}[
             args.lazy_conflicts
         ],
@@ -993,13 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--report", type=str, default="", help="write JSON report here")
     synth.add_argument(
         "--ring-method", choices=["milp", "heuristic"], default="milp"
-    )
-    synth.add_argument(
-        "--milp-backend",
-        choices=["auto", "scipy", "branch_bound"],
-        default="auto",
-        help="LP/MILP solver for the ring model (branch_bound is the "
-        "pure-Python backend with simplex-pivot metrics)",
     )
     synth.add_argument(
         "--lazy-conflicts",

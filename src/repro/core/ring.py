@@ -440,7 +440,7 @@ def _raise_for_ring_solution(solution, n: int) -> None:
             f"ring MILP hit its time budget before finding any tour "
             f"({solution.message})",
             stage="ring",
-            context={"backend": solution.backend, "nodes": n},
+            context={"nodes": n},
         )
     if solution.status is SolveStatus.INFEASIBLE:
         raise StageFailure(
@@ -448,7 +448,7 @@ def _raise_for_ring_solution(solution, n: int) -> None:
             "for these positions)",
             stage="ring",
             cause="infeasible",
-            context={"backend": solution.backend, "nodes": n},
+            context={"nodes": n},
         )
     if not solution.has_solution:
         raise SolveError(
@@ -486,7 +486,6 @@ def _solve_ring_lazy(
     model: Model,
     points: list[Point],
     conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None,
-    backend: str,
     time_limit: float | None,
     deadline: Deadline | None,
 ):
@@ -515,14 +514,10 @@ def _solve_ring_lazy(
     last: tuple | None = None
     while True:
         rounds += 1
-        options: dict[str, object] = {}
+        remaining = None
         if time_limit is not None:
-            options["time_limit"] = max(
-                time_limit - (time.perf_counter() - start), 1e-3
-            )
-        if deadline is not None:
-            options["deadline"] = deadline
-        solution = model.solve(backend=backend, **options)
+            remaining = max(time_limit - (time.perf_counter() - start), 1e-3)
+        solution = model.solve(time_limit=remaining, deadline=deadline)
         if (
             solution.status is SolveStatus.TIMEOUT
             and not solution.values
@@ -563,7 +558,6 @@ def _solve_ring_lazy(
 
 def construct_ring_tour(
     points: list[Point],
-    backend: str = "auto",
     time_limit: float | None = None,
     deadline: Deadline | None = None,
     conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
@@ -571,8 +565,7 @@ def construct_ring_tour(
 ) -> RingTour:
     """Synthesize the minimum-length crossing-free ring tour.
 
-    ``backend`` selects the MILP solver (see :mod:`repro.milp`).  Both
-    backends honor ``time_limit`` (seconds) and ``deadline``; when the
+    The MILP honours ``time_limit`` (seconds) and ``deadline``; when the
     budget runs out mid-solve the best integer incumbent is used and
     the returned tour carries ``timed_out=True``.  Raises
     :class:`~repro.robustness.errors.StageTimeout` when time expires
@@ -611,7 +604,7 @@ def construct_ring_tour(
     mode = "lazy" if lazy else "eager"
     cacheable = time_limit is None and deadline is None
     if cacheable:
-        cached = cache.tour_get("milp", points, extra=(backend, mode))
+        cached = cache.tour_get("milp", points, extra=(mode,))
         if cached is not None:
             return copy_tour(cached)
 
@@ -635,18 +628,13 @@ def construct_ring_tour(
     if lazy:
         solution, selected, timed_out, lazy_rounds, cuts_added = (
             _solve_ring_lazy(
-                model, points, conflicts, backend, time_limit, deadline
+                model, points, conflicts, time_limit, deadline
             )
         )
         obs.metrics.counter("ring.lazy.rounds").inc(lazy_rounds)
         obs.metrics.counter("ring.lazy.cuts_added").inc(cuts_added)
     else:
-        options: dict[str, object] = {}
-        if time_limit:
-            options["time_limit"] = time_limit
-        if deadline is not None:
-            options["deadline"] = deadline
-        solution = model.solve(backend=backend, **options)
+        solution = model.solve(time_limit=time_limit, deadline=deadline)
         _raise_for_ring_solution(solution, n)
         timed_out = solution.status is SolveStatus.TIMEOUT
 
@@ -711,7 +699,7 @@ def construct_ring_tour(
         timed_out=timed_out,
     )
     if cacheable and not timed_out:
-        cache.tour_put("milp", points, copy_tour(tour), extra=(backend, mode))
+        cache.tour_put("milp", points, copy_tour(tour), extra=(mode,))
     return tour
 
 

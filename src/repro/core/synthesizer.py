@@ -4,7 +4,7 @@
 :class:`~repro.network.Network` and returns an
 :class:`~repro.core.design.XRingDesign`.  :class:`SynthesisOptions`
 exposes every knob the experiments and ablations need (wavelength
-budget, shortcut/opening toggles, PDN mode, MILP backend) and is
+budget, shortcut/opening toggles, PDN mode, MILP time limit) and is
 validated eagerly, so typos fail at construction instead of deep
 inside a stage.
 
@@ -74,7 +74,6 @@ _SHORTCUT_SELECTIONS = ("gain", "ring_length")
 _PDN_MODES = ("internal", "external")
 _MAPPING_ORDERS = ("length", "demand")
 _DIRECTION_POLICIES = ("shortest", "first_fit")
-_MILP_BACKENDS = ("auto", "scipy", "branch_bound")
 _ON_ERROR_POLICIES = ("raise", "degrade")
 
 #: Exceptions a degrading stage must NOT swallow: they indicate a bad
@@ -119,7 +118,6 @@ class SynthesisOptions:
     pdn_mode: str | None = "internal"
     mapping_order: str = "length"
     direction_policy: str = "shortest"
-    milp_backend: str = "auto"
     milp_time_limit: float | None = None
     #: Conflict-constraint handling for the ring MILP: ``True`` uses
     #: lazy cutting-plane generation (skip the O(E²) conflict
@@ -144,7 +142,6 @@ class SynthesisOptions:
             _require(self.pdn_mode, _PDN_MODES, "PDN mode")
         _require(self.mapping_order, _MAPPING_ORDERS, "mapping order")
         _require(self.direction_policy, _DIRECTION_POLICIES, "direction policy")
-        _require(self.milp_backend, _MILP_BACKENDS, "MILP backend")
         _require(self.on_error, _ON_ERROR_POLICIES, "on_error policy")
         if self.lazy_conflicts not in (None, True, False):
             raise ConfigurationError(
@@ -422,11 +419,9 @@ class XRingSynthesizer:
 
     def _milp_tour(self, points, conflicts, deadline: Deadline) -> RingTour:
         """Step 1 by the MILP (lazy mode when ``conflicts`` is None)."""
-        opts = self.options
         return construct_ring_tour(
             points,
-            backend=opts.milp_backend,
-            time_limit=opts.milp_time_limit,
+            time_limit=self.options.milp_time_limit,
             deadline=deadline,
             conflicts=conflicts,
             lazy=conflicts is None,

@@ -48,9 +48,7 @@ class RingRouterRow:
     #: The fallbacks taken, as "stage:fallback" strings, for table
     #: footnotes and result auditing.
     fallbacks: tuple[str, ...] = ()
-    #: Simplex pivots spent by the run's LP solves (pure-Python backend).
-    simplex_pivots: int = 0
-    #: Branch-and-bound nodes explored (either backend).
+    #: Branch-and-bound nodes HiGHS explored.
     bb_nodes: int = 0
 
     @property
@@ -100,7 +98,6 @@ def evaluate_design(
         signal_count=evaluation.signal_count,
         degraded=report.degraded if report is not None else False,
         fallbacks=report.fallbacks if report is not None else (),
-        simplex_pivots=report.counter("milp.simplex.pivots") if report else 0,
         bb_nodes=report.counter("milp.bb.nodes") if report else 0,
     )
 

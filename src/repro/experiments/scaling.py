@@ -28,8 +28,8 @@ from repro.photonics.parameters import (
 class ScalingRow:
     """One (size, method) measurement.
 
-    ``solver_stats`` carries the run's solver counters (simplex pivots,
-    branch-and-bound nodes, ...) from the metrics snapshot.
+    ``solver_stats`` carries the run's solver counters (solve outcomes,
+    HiGHS branch-and-bound nodes, ...) from the metrics snapshot.
     """
 
     num_nodes: int
@@ -117,7 +117,7 @@ def format_scaling(rows: list[ScalingRow]) -> str:
     header = (
         f"{'N':>4}{'method':>11}{'ring(mm)':>10}{'t_tour(s)':>11}"
         f"{'t_total(s)':>11}{'il_w':>7}{'P(W)':>9}{'#s':>5}"
-        f"{'pivots':>9}{'bb_nodes':>9}"
+        f"{'bb_nodes':>9}"
     )
     lines = [header, "-" * len(header)]
     for item in rows:
@@ -125,7 +125,6 @@ def format_scaling(rows: list[ScalingRow]) -> str:
             f"{item.num_nodes:>4}{item.method:>11}{item.tour_length_mm:>10.1f}"
             f"{item.tour_time_s:>11.2f}{item.total_time_s:>11.2f}"
             f"{item.row.il_w:>7.2f}{item.row.power_w:>9.3f}{item.row.noisy:>5}"
-            f"{item.solver_stats.get('milp.simplex.pivots', 0):>9}"
             f"{item.solver_stats.get('milp.bb.nodes', 0):>9}"
         )
     return "\n".join(lines)

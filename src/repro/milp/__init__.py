@@ -7,16 +7,14 @@ package provides a self-contained replacement:
 - a small modelling layer (:class:`Model`, :class:`Var`,
   :class:`LinExpr`, :class:`Constraint`) with natural operator
   overloading, in the spirit of ``gurobipy``/``pulp``;
-- a default backend on :func:`scipy.optimize.milp` (the bundled HiGHS
-  solver), which is exact and fast for the problem sizes the paper
-  evaluates (N <= 32 nodes, i.e. <= 992 binaries);
-- a from-scratch pure-Python branch-and-bound backend over a dense
-  two-phase simplex (:mod:`repro.milp.simplex`), kept as an
-  independently tested fallback and used by the unit tests to
-  cross-check the HiGHS results on small instances.
+- :meth:`Model.solve`, which runs every model through
+  :func:`scipy.optimize.milp` (the bundled HiGHS solver), exact and
+  fast for the problem sizes the paper evaluates (N <= 32 nodes, i.e.
+  <= 992 binaries) and, with lazy conflict rows, beyond.
 
-Both backends return the same :class:`Solution` type; models choose a
-backend by name via ``Model.solve(backend=...)``.
+A pure-Python branch-and-bound over a dense simplex lives in
+``tests/milp_oracle.py`` as the independent reference the HiGHS
+answers are checked against on small instances.
 """
 
 from repro.milp.expression import LinExpr, Var

@@ -1,14 +1,8 @@
-"""The MILP model container and solve dispatch.
+"""The MILP model container and its HiGHS solve.
 
 ``Model`` collects variables, constraints and a (minimization)
-objective, then dispatches to one of two interchangeable backends:
-
-- ``"scipy"`` — :func:`scipy.optimize.milp` (HiGHS), the default;
-- ``"branch_bound"`` — the pure-Python branch-and-bound of
-  :mod:`repro.milp.branch_bound`.
-
-``backend="auto"`` picks scipy when available and falls back to
-branch-and-bound otherwise.
+objective; :meth:`Model.solve` hands the model to
+:func:`scipy.optimize.milp` (the bundled HiGHS solver).
 """
 
 from __future__ import annotations
@@ -16,6 +10,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.milp.expression import LinExpr, Var, lin_sum
 from repro.obs import get_obs
@@ -36,7 +32,8 @@ class SolveStatus(enum.Enum):
 
     OPTIMAL = "optimal"
     #: An integer-feasible incumbent without an optimality proof
-    #: (node-limit exhaustion).
+    #: (node-limit exhaustion; only the branch-and-bound oracle of
+    #: ``tests/milp_oracle.py`` reports it).
     FEASIBLE = "feasible"
     #: The time budget ran out; ``values`` holds the best incumbent
     #: found so far (possibly none).
@@ -47,7 +44,7 @@ class SolveStatus(enum.Enum):
 
 
 class SolveError(StageFailure):
-    """Raised when a backend cannot produce a usable answer.
+    """Raised when a solve cannot produce a usable answer.
 
     Part of the :mod:`repro.robustness` taxonomy (stage ``"milp"``), so
     the synthesizer's degradation chain catches it alongside the other
@@ -103,7 +100,6 @@ class Solution:
     status: SolveStatus
     objective: float = math.nan
     values: list[float] = field(default_factory=list)
-    backend: str = ""
     message: str = ""
 
     @property
@@ -218,59 +214,34 @@ class Model:
         return lin_sum(items)
 
     # -- solving -------------------------------------------------------------
-    def solve(self, backend: str = "auto", **options) -> Solution:
-        """Solve the model and return a :class:`Solution`.
+    def solve(
+        self, time_limit: float | None = None, deadline: Deadline | None = None
+    ) -> Solution:
+        """Solve the model with HiGHS and return a :class:`Solution`.
 
-        ``backend`` is one of ``"auto"``, ``"scipy"``,
-        ``"branch_bound"``.  Backend-specific keyword options are passed
-        through (e.g. ``max_nodes`` for branch-and-bound); both
-        backends honor ``time_limit`` (seconds) and ``deadline``
-        (a shared :class:`~repro.robustness.deadline.Deadline`), and an
-        already-expired budget short-circuits to a TIMEOUT solution
-        without touching the backend.
+        ``time_limit`` (seconds) and ``deadline`` (a shared
+        :class:`~repro.robustness.deadline.Deadline`) bound the solve;
+        an already-expired budget short-circuits to a TIMEOUT solution
+        without touching the solver.
         """
-        deadline: Deadline | None = options.get("deadline")
         if deadline is not None and deadline.expired():
             return Solution(
                 status=SolveStatus.TIMEOUT,
-                backend=backend,
                 message="deadline expired before solve started",
             )
-        if backend == "auto":
-            try:
-                import scipy.optimize  # noqa: F401
-
-                backend = "scipy"
-            except ImportError:  # pragma: no cover - scipy is installed here
-                backend = "branch_bound"
         obs = get_obs()
         with obs.tracer.span(
             "milp.solve",
             model=self.name,
-            backend=backend,
             vars=self.num_vars,
             constraints=self.num_constraints,
         ) as span:
-            solution = self._dispatch(backend, options)
+            if deadline is not None:
+                time_limit = deadline.clamp(time_limit)
+            solution = _solve_highs(self, time_limit)
             span.set_attribute("status", solution.status.value)
         obs.metrics.counter(f"milp.solves.{solution.status.value}").inc()
         return solution
-
-    def _dispatch(self, backend: str, options: dict) -> Solution:
-        if backend == "scipy":
-            from repro.milp.scipy_backend import solve_with_scipy
-
-            return solve_with_scipy(self, **options)
-        if backend == "branch_bound":
-            from repro.milp.branch_bound import solve_with_branch_bound
-
-            return solve_with_branch_bound(self, **options)
-        from repro.robustness.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown backend {backend!r}",
-            context={"known": ["auto", "scipy", "branch_bound"]},
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -315,3 +286,101 @@ class Model:
             lines.append(" " + " ".join(integers))
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+def _record_highs_stats(result) -> None:
+    """Fold HiGHS search statistics into the ambient metrics registry.
+
+    scipy's OptimizeResult exposes ``mip_node_count``/``mip_gap`` for
+    MILP solves; absent fields (pure LPs, older scipy) are skipped.
+    """
+    metrics = get_obs().metrics
+    nodes = getattr(result, "mip_node_count", None)
+    if nodes is not None:
+        metrics.counter("milp.bb.nodes").inc(int(nodes))
+    gap = getattr(result, "mip_gap", None)
+    if gap is not None and np.isfinite(gap):
+        metrics.gauge("milp.bb.gap").set(float(gap))
+
+
+def _solve_highs(model: Model, time_limit: float | None) -> Solution:
+    """Solve ``model`` with scipy's bundled HiGHS MILP solver.
+
+    Equality constraints become two-sided bounds ``rhs <= Ax <= rhs``;
+    inequalities get an infinite bound on the open side.  A HiGHS
+    time-limit stop maps to TIMEOUT, carrying the incumbent when the
+    solver surfaced one.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    n = model.num_vars
+    c = np.zeros(n)
+    for idx, coeff in model.objective.coeffs.items():
+        c[idx] = coeff
+
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
+    integrality = np.array(
+        [1 if v.is_integer else 0 for v in model.variables]
+    )
+
+    constraints = []
+    if model.constraints:
+        rows, cols, vals = [], [], []
+        lo = np.empty(len(model.constraints))
+        hi = np.empty(len(model.constraints))
+        for i, con in enumerate(model.constraints):
+            for idx, coeff in con.expr.coeffs.items():
+                rows.append(i)
+                cols.append(idx)
+                vals.append(coeff)
+            if con.sense is Sense.LE:
+                lo[i], hi[i] = -np.inf, con.rhs
+            elif con.sense is Sense.GE:
+                lo[i], hi[i] = con.rhs, np.inf
+            else:
+                lo[i], hi[i] = con.rhs, con.rhs
+        matrix = csr_matrix(
+            (vals, (rows, cols)), shape=(len(model.constraints), n)
+        )
+        constraints.append(LinearConstraint(matrix, lo, hi))
+
+    options = {}
+    if time_limit is not None:
+        options["time_limit"] = max(time_limit, 1e-3)
+
+    result = milp(
+        c=c,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=Bounds(lb, ub),
+        options=options,
+    )
+    _record_highs_stats(result)
+
+    if result.status == 0 and result.x is not None:
+        return Solution(
+            status=SolveStatus.OPTIMAL,
+            objective=float(result.fun) + model.objective.constant,
+            values=[float(x) for x in result.x],
+            message=result.message,
+        )
+    if result.status == 1:
+        # Iteration/time limit: surface whatever incumbent HiGHS kept.
+        values = [] if result.x is None else [float(x) for x in result.x]
+        objective = (
+            math.nan
+            if result.x is None
+            else float(result.fun) + model.objective.constant
+        )
+        return Solution(
+            status=SolveStatus.TIMEOUT,
+            objective=objective,
+            values=values,
+            message=result.message,
+        )
+    status = {2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}.get(
+        result.status, SolveStatus.ERROR
+    )
+    return Solution(status=status, message=result.message)

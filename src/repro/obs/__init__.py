@@ -9,7 +9,7 @@ flow actually did:
   ``about:tracing`` or Perfetto);
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms, fed by the solver hot loops
-  (simplex pivots, B&B nodes, shortcut gain evaluations, ...);
+  (HiGHS B&B nodes, lazy-cut rounds, shortcut gain evaluations, ...);
 - :mod:`repro.obs.context` — the ambient :class:`ObsContext`
   (:func:`get_obs` / :func:`use_obs`) that threads tracer+metrics
   through deep call stacks without signature churn;

@@ -1,6 +1,6 @@
 """The ambient observability context (tracer + metrics).
 
-Deep solver loops (simplex pivots, branch-and-bound nodes, greedy
+Deep solver loops (lazy-cut rounds, sub-cycle merges, greedy
 selection passes) cannot take a tracer parameter without rippling
 through a dozen signatures, so the current :class:`ObsContext` lives
 in a :mod:`contextvars` variable: the synthesizer (or the CLI, or an

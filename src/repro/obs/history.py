@@ -14,7 +14,7 @@ tooling needs:
 - **per-stage latency percentiles** pulled from the run's
   :class:`~repro.obs.metrics.MetricsRegistry` (``stage.*.latency_s``
   histograms, falling back to ``deadline.<stage>.elapsed_s`` gauges);
-- **solver counters** (simplex pivots, B&B nodes), **cache hit
+- **solver counters** (HiGHS B&B nodes), **cache hit
   rates**, and **supervisor stats** (retries / quarantines / circuit
   state) for batch runs;
 - **design-quality metrics** from :mod:`repro.analysis` (wavelength
@@ -57,10 +57,7 @@ _STAGE_LATENCY_RE = re.compile(r"^stage\.(?P<stage>[\w.]+)\.latency_s$")
 _DEADLINE_GAUGE_RE = re.compile(r"^deadline\.(?P<stage>[\w]+)\.elapsed_s$")
 
 #: Solver counters every record surfaces explicitly (missing -> 0).
-SOLVER_COUNTERS = {
-    "simplex_pivots": "milp.simplex.pivots",
-    "bb_nodes": "milp.bb.nodes",
-}
+SOLVER_COUNTERS = {"bb_nodes": "milp.bb.nodes"}
 
 
 def json_safe(value: Any) -> Any:
@@ -215,7 +212,7 @@ class RunRecord:
     wall_s: float = 0.0
     #: ``stage -> {count, mean, p50, p90, p99, max, sum}`` (seconds).
     stage_latency: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: Headline solver counters (``simplex_pivots``, ``bb_nodes``).
+    #: Headline solver counters (``bb_nodes``).
     solver: dict[str, int] = field(default_factory=dict)
     #: Cache-section hit rates (``conflicts``, ``tours``, ...).
     cache: dict[str, float] = field(default_factory=dict)

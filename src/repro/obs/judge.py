@@ -548,7 +548,6 @@ _TREND_METRICS = (
     "quality.wl_count",
     "quality.il_w",
     "quality.snr_worst_db",
-    "solver.simplex_pivots",
     "solver.bb_nodes",
     "supervisor.retries",
 )

@@ -4,7 +4,7 @@ Every module logs through ``logging.getLogger("repro.<module>")``
 (via :func:`get_logger`), so one call to :func:`configure_logging`
 controls the whole flow.  The format includes the logger name, which
 doubles as the stage taxonomy (``repro.core.synthesizer``,
-``repro.milp.branch_bound``, ...).
+``repro.service.jobs``, ...).
 
 Degradation-chain warnings include the active span id (when a tracer
 is installed) so a log line can be joined against ``trace.jsonl``.

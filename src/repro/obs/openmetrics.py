@@ -13,7 +13,7 @@ mapping is the canonical one:
 
 Metric names are sanitized to the OpenMetrics grammar (dots and other
 separators become underscores) and prefixed (default ``xring_``), so
-``milp.simplex.pivots`` exports as ``xring_milp_simplex_pivots_total``.
+``milp.bb.nodes`` exports as ``xring_milp_bb_nodes_total``.
 The exposition ends with the mandatory ``# EOF`` terminator.
 
 No exporter process is bundled — the CLI writes the exposition via

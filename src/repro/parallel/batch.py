@@ -363,7 +363,6 @@ class BatchSynthesizer:
         return (
             canonical_points(case.network.positions),
             opts.ring_method,
-            opts.milp_backend,
         )
 
     def _share_steps(
@@ -423,7 +422,7 @@ class BatchSynthesizer:
         points = list(case.network.positions)
         try:
             if case.options.ring_method == "milp":
-                tour = construct_ring_tour(points, backend=case.options.milp_backend)
+                tour = construct_ring_tour(points)
             else:
                 tour = construct_ring_tour_heuristic(points)
         except Exception:

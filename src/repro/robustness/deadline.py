@@ -1,10 +1,11 @@
 """Wall-clock budgets threaded through every synthesis stage.
 
 A :class:`Deadline` wraps a monotonic clock plus an optional budget in
-seconds.  Long-running loops (branch-and-bound nodes, simplex
-iterations, greedy selection passes) poll ``expired()`` or call
-``check()`` cooperatively; stage boundaries use ``stage(...)`` to
-record per-stage elapsed time for the synthesis report.
+seconds.  Long-running work polls ``expired()`` or calls ``check()``
+cooperatively, and the ring MILP folds the remaining budget into
+HiGHS's own time limit via ``clamp``; stage boundaries use
+``stage(...)`` to record per-stage elapsed time for the synthesis
+report.
 
 ``consume(seconds)`` burns budget without sleeping — the deterministic
 hook the fault-injection harness uses to simulate solver stalls, so
@@ -84,8 +85,8 @@ class Deadline:
         """Fold an independent per-stage limit into the remaining budget.
 
         Returns the tighter of ``limit`` and ``remaining()``, or ``None``
-        when both are unlimited — the shape solver backends expect for
-        their ``time_limit`` option.
+        when both are unlimited — the shape the MILP solve expects for
+        its ``time_limit`` option.
         """
         remaining = self.remaining()
         if limit is None:

@@ -110,7 +110,6 @@ SPEC_KEYS = frozenset(
         "shortcuts",
         "openings",
         "pdn",
-        "milp_backend",
         "lazy_conflicts",
         "deadline",
         "on_error",
@@ -119,21 +118,46 @@ SPEC_KEYS = frozenset(
 )
 
 
+#: JSON types of the option fields (a JSON bool is never a number),
+#: and how an error names them.  ``null`` is only allowed where it
+#: means something: the default budget, no deadline, auto conflicts.
+_SPEC_TYPES = {
+    "wl": ((int, type(None)), "an integer or null"),
+    "deadline": ((int, float, type(None)), "a number or null"),
+    "shortcuts": ((bool,), "true or false"),
+    "openings": ((bool,), "true or false"),
+    "pdn": ((bool,), "true or false"),
+    "lazy_conflicts": ((bool, type(None)), "true, false or null"),
+    "label": ((str,), "a string"),
+}
+
+
 # -- spec parsing (shared with the CLI batch subcommand) ---------------------
 def options_from_spec(spec: dict[str, Any], index: int = 0) -> SynthesisOptions:
     """Translate one JSON case/job spec into :class:`SynthesisOptions`.
 
     The schema is the ``xring batch`` case-file schema; the service
     POST body uses exactly the same field names, so a batch case file
-    entry is a valid job submission and vice versa.
+    entry is a valid job submission and vice versa.  A field of the
+    wrong JSON type raises :class:`InputError` (``{"pdn": "false"}``
+    must not synthesize a PDN).
     """
+    for key, (types, expected) in _SPEC_TYPES.items():
+        value = spec.get(key)
+        if key in spec and (
+            not isinstance(value, types)
+            or (isinstance(value, bool) and bool not in types)
+        ):
+            raise InputError(
+                f"spec field {key!r} must be {expected}, got {value!r}",
+                stage="service",
+            )
     return SynthesisOptions(
         wl_budget=spec.get("wl"),
         ring_method=spec.get("ring_method", "milp"),
         enable_shortcuts=spec.get("shortcuts", True),
         enable_openings=spec.get("openings", True),
         pdn_mode="internal" if spec.get("pdn", True) else None,
-        milp_backend=spec.get("milp_backend", "auto"),
         # JSON true/false/absent map onto forced-lazy/forced-eager/auto.
         lazy_conflicts=spec.get("lazy_conflicts"),
         deadline_s=spec.get("deadline"),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ring import RingTour, construct_ring_tour
-from repro.geometry import Point, count_crossings, paths_cross
+from repro.core.ring import RingTour, _build_ring_model, construct_ring_tour
+from repro.geometry import Point, build_edge_conflicts, count_crossings, paths_cross
+from tests.milp_oracle import solve_with_branch_bound
 
 
 def tour_is_valid(tour: RingTour, points) -> None:
@@ -84,9 +85,14 @@ class TestConstructRingTour:
             construct_ring_tour(points)
 
     def test_branch_bound_backend_small(self):
+        # The branch-and-bound oracle solves the ring model to the
+        # HiGHS objective, and the tour realizes it.
         points = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        tour = construct_ring_tour(points, backend="branch_bound")
-        assert tour.length_mm == pytest.approx(8.0)
+        model = _build_ring_model(points, build_edge_conflicts(points))
+        oracle = solve_with_branch_bound(model, time_limit=30.0)
+        assert oracle.is_optimal
+        assert oracle.objective == pytest.approx(model.solve().objective)
+        assert construct_ring_tour(points).length_mm == pytest.approx(8.0)
 
     def test_collinear_nodes_not_skipped_through(self):
         # Nodes on one row plus one off-row: the ring cannot run a

@@ -38,7 +38,6 @@ from repro.obs.history import (
 def _registry() -> MetricsRegistry:
     """A registry shaped like a real synthesis run's."""
     reg = MetricsRegistry()
-    reg.counter("milp.simplex.pivots").inc(42)
     reg.counter("milp.bb.nodes").inc(7)
     for elapsed in (0.01, 0.02, 0.03):
         reg.histogram("stage.ring.latency_s", LATENCY_BUCKETS).observe(elapsed)
@@ -60,7 +59,7 @@ class TestRunRecord:
     def test_build_derives_stages_counters_and_env(self):
         record = _record()
         assert record.kind == "synth"
-        assert record.solver == {"simplex_pivots": 42, "bb_nodes": 7}
+        assert record.solver == {"bb_nodes": 7}
         assert record.env == environment_fingerprint()
         ring = record.stage_latency["ring"]
         assert ring["count"] == 3

@@ -31,7 +31,7 @@ def _base_record() -> RunRecord:
         fingerprint="",
         wall_s=2.0,
         stage_latency={"ring": {"count": 1, "p50": 0.5, "p99": 0.8}},
-        solver={"simplex_pivots": 400, "bb_nodes": 12},
+        solver={"bb_nodes": 12},
         cache={"conflicts": 0.9},
         supervisor={"retries": 2, "worker_restarts": 1, "circuit_open": False},
         quality={

@@ -78,7 +78,7 @@ class TestLazyEagerEquivalence:
         points = CASES[case]
         model = _build_ring_model(points, {})
         _sol, _sel, timed_out, rounds, cuts_added = _solve_ring_lazy(
-            model, points, None, "auto", None, None
+            model, points, None, None, None
         )
         assert not timed_out
         assert 1 <= rounds <= LAZY_MAX_ROUNDS
@@ -104,7 +104,7 @@ class TestLazyEagerEquivalence:
         conflicts = build_edge_conflicts(points)
         model = _build_ring_model(points, {})
         sol, selected, timed_out, _rounds, _cuts = _solve_ring_lazy(
-            model, points, conflicts, "auto", None, None
+            model, points, conflicts, None, None
         )
         assert not timed_out
         eager = construct_ring_tour(points, lazy=False)

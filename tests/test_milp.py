@@ -1,4 +1,5 @@
-"""Unit tests for the MILP modelling layer and both backends."""
+"""Unit tests for the MILP modelling layer, the HiGHS solve and the
+branch-and-bound oracle it is checked against."""
 
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.milp import Model, Sense, SolveStatus
 from repro.milp.expression import LinExpr, lin_sum
+from tests.milp_oracle import solve_by, solve_with_branch_bound
 
 
 class TestExpressions:
@@ -81,50 +83,50 @@ class TestModelConstruction:
         assert not con.satisfied_by([1.0, 2.0])
 
 
-@pytest.mark.parametrize("backend", ["scipy", "branch_bound"])
+@pytest.mark.parametrize("solver", ["scipy", "branch_bound"])
 class TestSolving:
-    def test_simple_lp(self, backend):
+    def test_simple_lp(self, solver):
         m = Model()
         x = m.add_var(lb=0, ub=10)
         y = m.add_var(lb=0, ub=10)
         m.add_constraint(x + y <= 8)
         m.maximize(3 * x + 2 * y)
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.is_optimal
         # Optimum at x = 8, y = 0 (the x coefficient dominates).
         assert sol.objective == pytest.approx(-24.0)
         assert sol[x] == pytest.approx(8.0)
 
-    def test_binary_knapsack(self, backend):
+    def test_binary_knapsack(self, solver):
         m = Model()
         items = [(3, 5), (4, 6), (5, 7), (2, 3)]  # (weight, value)
         xs = [m.binary_var(f"x{i}") for i in range(len(items))]
         m.add_constraint(lin_sum(w * x for (w, _), x in zip(items, xs)) <= 7)
         m.maximize(lin_sum(v * x for (_, v), x in zip(items, xs)))
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.is_optimal
         # Best: items 0 and 1 (weight 7, value 11).
         assert -sol.objective == pytest.approx(11.0)
 
-    def test_infeasible(self, backend):
+    def test_infeasible(self, solver):
         m = Model()
         x = m.binary_var()
         m.add_constraint(x >= 2)
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.status is SolveStatus.INFEASIBLE
 
-    def test_equality_constraints(self, backend):
+    def test_equality_constraints(self, solver):
         m = Model()
         x = m.add_var(lb=0, ub=5)
         y = m.add_var(lb=0, ub=5)
         m.add_constraint(x + y == 4)
         m.minimize(x - y)
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.is_optimal
         assert sol[y] == pytest.approx(4.0)
         assert sol.objective == pytest.approx(-4.0)
 
-    def test_assignment_problem(self, backend):
+    def test_assignment_problem(self, solver):
         # 3x3 assignment with known optimum.
         cost = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
         m = Model()
@@ -135,21 +137,21 @@ class TestSolving:
             m.add_constraint(lin_sum(xs[(i, j)] for j in range(3)) == 1)
             m.add_constraint(lin_sum(xs[(j, i)] for j in range(3)) == 1)
         m.minimize(lin_sum(cost[i][j] * xs[(i, j)] for i, j in xs))
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.is_optimal
         assert sol.objective == pytest.approx(5.0)  # 1 + 2 + 2
 
-    def test_value_as_int(self, backend):
+    def test_value_as_int(self, solver):
         m = Model()
         x = m.binary_var()
         m.add_constraint(x >= 1)
         m.minimize(x)
-        sol = m.solve(backend=backend)
+        sol = solve_by(m, solver)
         assert sol.value(x, as_int=True) == 1
 
 
 class TestBackendAgreement:
-    """The two backends must agree on small random-ish instances."""
+    """HiGHS and the oracle must agree on small random-ish instances."""
 
     def _random_model(self, seed: int) -> Model:
         import random
@@ -166,8 +168,8 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("seed", range(8))
     def test_agreement(self, seed):
         m = self._random_model(seed)
-        a = m.solve(backend="scipy")
-        b = m.solve(backend="branch_bound")
+        a = m.solve()
+        b = solve_with_branch_bound(m)
         assert a.is_optimal and b.is_optimal
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 

@@ -1,22 +1,22 @@
-"""MILP backend edge cases: infeasibility, node limits, deadlines.
+"""MILP edge cases: infeasibility, node limits, deadlines.
 
-The fake-clock :class:`Deadline` (each read advances one virtual
-second) makes timeout paths fully deterministic: the same model and
-budget always stop at the same pivot.
+The node-limit and deadline paths belong to the branch-and-bound
+oracle.  The fake-clock :class:`Deadline` (each read advances one
+virtual second) makes its timeout paths fully deterministic: the same
+model and budget always stop at the same pivot.  The ring's handling
+of a HiGHS timeout is pinned with a stubbed ``Model.solve``.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.ring import construct_ring_tour
-from repro.milp.branch_bound import solve_with_branch_bound
 from repro.milp.expression import lin_sum
-from repro.milp.model import Model, SolveStatus
+from repro.milp.model import Model, Solution, SolveStatus
 from repro.network.placement import psion_placement
-from repro.robustness import ConfigurationError, Deadline, StageTimeout
+from repro.robustness import Deadline, StageTimeout
+from tests.milp_oracle import solve_by, solve_with_branch_bound
 
 
 class Tick:
@@ -42,27 +42,27 @@ def knapsack_model() -> Model:
     return model
 
 
-@pytest.mark.parametrize("backend", ["scipy", "branch_bound"])
+@pytest.mark.parametrize("solver", ["scipy", "branch_bound"])
 class TestInfeasibility:
-    def test_lp_infeasible(self, backend):
+    def test_lp_infeasible(self, solver):
         model = Model("lp-infeasible")
         x = model.add_var("x", lb=0.0, ub=1.0)
         model.add_constraint(x * 1.0 >= 2.0)
         model.minimize(x)
-        solution = model.solve(backend=backend)
+        solution = solve_by(model, solver)
         assert solution.status is SolveStatus.INFEASIBLE
         assert not solution.has_solution
 
-    def test_integer_infeasible_but_lp_feasible(self, backend):
+    def test_integer_infeasible_but_lp_feasible(self, solver):
         # The relaxation has solutions in [0.2, 0.8] but no integer
-        # point exists; both backends must prove infeasibility, not
+        # point exists; both solvers must prove infeasibility, not
         # round or error out.
         model = Model("int-infeasible")
         x = model.add_var("x", lb=0.0, ub=1.0, integer=True)
         model.add_constraint(x * 1.0 >= 0.2)
         model.add_constraint(x * 1.0 <= 0.8)
         model.minimize(x)
-        solution = model.solve(backend=backend)
+        solution = solve_by(model, solver)
         assert solution.status is SolveStatus.INFEASIBLE
 
 
@@ -107,25 +107,51 @@ class TestDeadlines:
     def test_solve_short_circuits_on_spent_deadline(self):
         deadline = Deadline(1.0)
         deadline.consume(2.0)
-        solution = knapsack_model().solve(
-            backend="branch_bound", deadline=deadline
-        )
+        solution = knapsack_model().solve(deadline=deadline)
         assert solution.status is SolveStatus.TIMEOUT
         assert "before solve started" in solution.message
 
     def test_backends_agree_on_the_optimum(self):
-        by_backend = {
-            backend: knapsack_model().solve(backend=backend)
-            for backend in ("scipy", "branch_bound")
-        }
-        assert all(s.is_optimal for s in by_backend.values())
-        assert by_backend["scipy"].objective == pytest.approx(
-            by_backend["branch_bound"].objective
+        highs = knapsack_model().solve()
+        oracle = solve_with_branch_bound(knapsack_model())
+        assert highs.is_optimal and oracle.is_optimal
+        assert highs.objective == pytest.approx(oracle.objective)
+
+
+def _stub_timeout(monkeypatch, *, with_incumbent: bool) -> None:
+    """Make every ``Model.solve`` report a HiGHS time-limit stop.
+
+    With an incumbent, the stop carries the real solve's values (a
+    valid assignment); without one, it carries nothing.
+    """
+    real_solve = Model.solve
+
+    def timed_out(model, time_limit=None, deadline=None):
+        values = real_solve(model).values if with_incumbent else []
+        return Solution(
+            status=SolveStatus.TIMEOUT, values=values, message="stubbed"
         )
 
-    def test_unknown_backend_is_typed(self):
-        with pytest.raises(ConfigurationError):
-            knapsack_model().solve(backend="gurobi")
+    monkeypatch.setattr(Model, "solve", timed_out)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+class TestRingTourTimeout:
+    def test_timeout_with_incumbent_flags_the_tour(self, monkeypatch, lazy):
+        points, _ = psion_placement(8)
+        _stub_timeout(monkeypatch, with_incumbent=True)
+        tour = construct_ring_tour(list(points), lazy=lazy, time_limit=5.0)
+        assert tour.timed_out
+        assert sorted(tour.order) == list(range(8))
+
+    def test_timeout_without_incumbent_raises_stage_timeout(
+        self, monkeypatch, lazy
+    ):
+        points, _ = psion_placement(8)
+        _stub_timeout(monkeypatch, with_incumbent=False)
+        with pytest.raises(StageTimeout) as excinfo:
+            construct_ring_tour(list(points), lazy=lazy, time_limit=5.0)
+        assert excinfo.value.stage == "ring"
 
 
 class TestRingTourTimeLimit:
@@ -134,26 +160,8 @@ class TestRingTourTimeLimit:
         deadline = Deadline(1.0)
         deadline.consume(2.0)
         with pytest.raises(StageTimeout) as excinfo:
-            construct_ring_tour(
-                list(points), backend="branch_bound", deadline=deadline
-            )
+            construct_ring_tour(list(points), deadline=deadline)
         assert excinfo.value.stage == "ring"
-
-    def test_tiny_time_limit_terminates_promptly(self):
-        # The pure-Python backend must honor ``time_limit``: either it
-        # surfaces an in-budget incumbent (tour flagged ``timed_out``)
-        # or raises StageTimeout — but it must not run unbounded.
-        points, _ = psion_placement(16)
-        before = time.monotonic()
-        try:
-            tour = construct_ring_tour(
-                list(points), backend="branch_bound", time_limit=0.2
-            )
-            assert tour.timed_out
-            assert sorted(tour.order) == list(range(16))
-        except StageTimeout:
-            pass
-        assert time.monotonic() - before < 30.0
 
     def test_generous_limit_not_flagged(self, tour8):
         assert not tour8.timed_out

@@ -1,11 +1,11 @@
-"""Tests of the dense two-phase simplex against scipy's linprog."""
+"""Tests of the oracle's dense two-phase simplex against scipy's linprog."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.milp.simplex import LPStatus, solve_lp
+from tests.milp_oracle import LPStatus, solve_lp
 
 
 class TestSimplexBasics:

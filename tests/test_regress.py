@@ -32,7 +32,7 @@ def _record(
     ring_p50: float = 0.5,
     il_w: float = 2.0,
     snr: float = 20.0,
-    pivots: int = 100,
+    bb_nodes: int = 1,
     env: dict | None = None,
     options_hash: str = "",
 ) -> RunRecord:
@@ -54,7 +54,7 @@ def _record(
         quality={"il_w": il_w, "snr_worst_db": snr, "wl_count": 8},
         env=env,
     )
-    record.solver = {"simplex_pivots": pivots, "bb_nodes": 1}
+    record.solver = {"bb_nodes": bb_nodes}
     if options_hash:
         record.options_hash = options_hash
     return record
@@ -116,9 +116,9 @@ class TestCompareRuns:
         assert compare_runs(baseline, slow).regressed
 
     def test_counters_are_informational_unless_gated(self):
-        verdict = compare_runs([_record(pivots=100)], [_record(pivots=1000)])
+        verdict = compare_runs([_record(bb_nodes=10)], [_record(bb_nodes=1000)])
         finding = next(
-            f for f in verdict.findings if f.metric == "solver.simplex_pivots"
+            f for f in verdict.findings if f.metric == "solver.bb_nodes"
         )
         assert finding.status == STATUS_INFO
 

@@ -145,7 +145,7 @@ class TestEagerOptionValidation:
             {"pdn_mode": "bogus"},
             {"mapping_order": "random"},
             {"direction_policy": "widdershins"},
-            {"milp_backend": "cplex"},
+            {"lazy_conflicts": "sometimes"},
             {"on_error": "panic"},
             {"milp_time_limit": 0.0},
             {"deadline_s": -5.0},

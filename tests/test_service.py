@@ -73,6 +73,23 @@ def slow_spec(index: int, **extra) -> dict:
     return spec
 
 
+#: Option fields of the wrong JSON type: each would otherwise synthesize
+#: something other than what was asked (``"false"`` is truthy, ``true``
+#: is a budget of 1) or crash the solve.
+MISTYPED_FIELDS = [
+    ("shortcuts", "false"),
+    ("openings", 0),
+    ("pdn", "false"),
+    ("lazy_conflicts", "on"),
+    ("wl", True),
+    ("wl", "8"),
+    ("wl", 8.0),
+    ("deadline", "5"),
+    ("deadline", False),
+    ("label", 7),
+]
+
+
 # ---------------------------------------------------------------------------
 # unit layer: spec parsing, config, store
 # ---------------------------------------------------------------------------
@@ -80,6 +97,19 @@ class TestSpecParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError, match="unknown spec field"):
             case_from_spec({"nodez": 8})
+
+    @pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"'{field}' must be"):
+            case_from_spec({"nodes": 8, field: value})
+
+    def test_null_keeps_the_default_where_it_has_one(self):
+        options = case_from_spec(
+            {"nodes": 8, "wl": None, "deadline": None, "lazy_conflicts": None}
+        ).options
+        assert options.wl_budget is None
+        assert options.deadline_s is None
+        assert options.lazy_conflicts is None
 
     def test_non_object_rejected(self):
         with pytest.raises(InputError, match="JSON object"):
@@ -421,6 +451,16 @@ class TestHappyPath:
         assert server.get("/jobs/unknown/design")[0] == 404
         status, payload, _ = server.post_json("/jobs", {"nodez": 1})
         assert status == 400 and "unknown spec field" in payload["error"]
+        status, payload, _ = server.post_json(
+            "/jobs", {"nodes": 8, "milp_backend": "scipy"}
+        )
+        assert status == 400 and "unknown spec field" in payload["error"]
+        for field, value in MISTYPED_FIELDS:
+            status, payload, _ = server.post_json(
+                "/jobs", {"nodes": 8, field: value}
+            )
+            assert status == 400, (field, value, status, payload)
+            assert f"'{field}' must be" in payload["error"]
         request = urllib.request.Request(
             server.base + "/jobs", data=b"{not json", method="POST"
         )

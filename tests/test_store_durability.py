@@ -586,7 +586,7 @@ class TestCanonicalDigests:
             network=network8, options=SynthesisOptions(wl_budget=8), label="pin"
         )
         assert case_key(0, case) == (
-            "685c5b2d4fe80169da8e49e05d6150db25f28283483171940d798d91cb691d62"
+            "9c3a231579394dfcd677de93a710d4a1616d29738124b4fe750cb14eda5d1755"
         )
 
     def test_run_record_fingerprints_are_pinned(self):
@@ -600,7 +600,7 @@ class TestCanonicalDigests:
             extra={"cases": 1},
         )
         assert record.fingerprint == (
-            "f1582593eb292e22f00ca8825c098ed1c37fe84885b50a5e2382aaac27139219"
+            "cfe9aaa36dd8b5321281ed63e1469e4ece52b24da3e381fb0be70a4c8a2c8d16"
         )
         assert record.options_hash == (
             "f34c5afb5d7a854889cb2a726a2b4139fbd6e67c6d55977803b3d205f3d1bbbd"
