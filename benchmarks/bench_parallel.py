@@ -1,29 +1,29 @@
 #!/usr/bin/env python
 """Batch-engine benchmark: emits ``BENCH_parallel.json``.
 
-Measures the three perf levers of :mod:`repro.parallel` on the scaling
+Measures the perf levers of :mod:`repro.parallel` on the scaling
 study and the ablation sweep:
 
-- **parallel fan-out** — the scaling study cold with ``workers=1`` vs
+- **parallel fan-out** — the scaling study with ``workers=1`` vs
   ``workers=N`` (honest on a 1-CPU container: ``speedup_parallel`` is
   ``null`` with an explanatory note there, because a pool cannot speed
   up a single CPU — the ratio would only measure IPC overhead);
-- **warm synthesis cache** — the same study re-run with tour caching
-  enabled after a priming pass, so Step-1 solves are served from the
-  cache;
-- **conflict-dict reuse** — the ablation sweep's conflicts-section
-  hit rate (four variants on one floorplan → one build, three hits);
+- **Step 1-2 sharing** — the ablation sweep, whose four variants on
+  one floorplan share one Step-1 tour built by the batch parent;
 - **profiler tax** — one representative synthesis bare vs under the
   sampling profiler (``overhead_frac`` must stay under the <5%
   promise the profiler tests gate).
+
+Each scaling phase and the ablation sweep run ``REPEATS`` times and
+report the median, the interquartile range and every sample.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --quick
 
-The output JSON is the perf baseline future PRs diff against: wall
-clock per phase, per-stage breakdown of a representative run, speedups
-vs ``workers=1``, and full cache statistics.
+The output JSON is the perf baseline later changes diff against: wall
+clock per phase, per-stage breakdown of a representative run, and
+speedups vs ``workers=1``.
 """
 
 from __future__ import annotations
@@ -39,19 +39,39 @@ import time
 from repro.experiments.ablations import run_shortcut_ablation
 from repro.experiments.scaling import run_scaling
 from repro.obs import atomic_write_text
-from repro.parallel import clear_caches, get_cache
 
 QUICK_SIZES = (8, 16)
 FULL_SIZES = (8, 16, 32)
 METHODS = ("milp", "heuristic")
 #: Repeats of the N=64 shortcut-stage timing in the lazy-conflicts arm.
 SHORTCUT_RUNS = 5
+#: Repeats of each scaling phase and of the ablation sweep.
+REPEATS = 3
 
 
 def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def _spread(samples: list[float]) -> dict:
+    """Median, interquartile range and the samples, in seconds."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median_s": round(median, 4),
+        "iqr_s": round(q3 - q1, 4),
+        "samples_s": [round(t, 4) for t in samples],
+    }
+
+
+def _repeated(fn, *args, **kwargs):
+    """``(last result, spread)`` of ``REPEATS`` timed calls."""
+    samples = []
+    for _ in range(REPEATS):
+        result, seconds = _timed(fn, *args, **kwargs)
+        samples.append(seconds)
+    return result, _spread(samples)
 
 
 def parallel_speedup(
@@ -76,31 +96,16 @@ def parallel_speedup(
 
 
 def bench_scaling(sizes: tuple[int, ...], workers: int) -> dict:
-    """Cold sequential vs parallel vs warm-cache runs of the study."""
-    cache = get_cache()
-
-    clear_caches()
-    rows, t_cold = _timed(run_scaling, sizes=sizes, methods=METHODS, workers=1)
-
-    clear_caches()
-    _, t_parallel = _timed(
+    """Sequential vs parallel runs of the scaling study."""
+    run_scaling(sizes=sizes, methods=METHODS, workers=1)  # warm imports
+    rows, sequential = _repeated(
+        run_scaling, sizes=sizes, methods=METHODS, workers=1
+    )
+    _, parallel = _repeated(
         run_scaling, sizes=sizes, methods=METHODS, workers=workers
     )
-
-    # Warm-cache pass: prime with result caching on, then measure the
-    # re-run that serves every Step-1 tour and Step-2 shortcut plan
-    # (and conflict dict) warm.
-    clear_caches()
-    was_enabled = cache.result_caching
-    cache.enable_result_caching(True)
-    try:
-        run_scaling(sizes=sizes, methods=METHODS, workers=1)
-        _, t_warm = _timed(
-            run_scaling, sizes=sizes, methods=METHODS, workers=1
-        )
-        warm_stats = cache.stats()
-    finally:
-        cache.enable_result_caching(was_enabled)
+    t_cold = sequential["median_s"]
+    t_parallel = parallel["median_s"]
 
     speedup, speedup_note = parallel_speedup(t_cold, t_parallel, os.cpu_count())
     if speedup is None:
@@ -110,13 +115,14 @@ def bench_scaling(sizes: tuple[int, ...], workers: int) -> dict:
         "methods": list(METHODS),
         "workers": workers,
         "wall_clock_s": {
-            "cold_workers1": round(t_cold, 4),
-            f"parallel_workers{workers}": round(t_parallel, 4),
-            "warm_cache_workers1": round(t_warm, 4),
+            "cold_workers1": t_cold,
+            f"parallel_workers{workers}": t_parallel,
+        },
+        "repeats": {
+            "cold_workers1": sequential,
+            f"parallel_workers{workers}": parallel,
         },
         "speedup_parallel": speedup,
-        "speedup_warm_cache": round(t_cold / t_warm, 3),
-        "warm_cache_stats": warm_stats,
         "rows": [
             {
                 "num_nodes": r.num_nodes,
@@ -133,16 +139,13 @@ def bench_scaling(sizes: tuple[int, ...], workers: int) -> dict:
 
 
 def bench_ablation(num_nodes: int) -> dict:
-    """Conflict-cache behaviour across one ablation sweep."""
-    clear_caches()
-    rows, elapsed = _timed(run_shortcut_ablation, num_nodes=num_nodes)
-    stats = get_cache().stats()
+    """The four-variant ablation sweep on one floorplan."""
+    rows, spread = _repeated(run_shortcut_ablation, num_nodes=num_nodes)
     return {
         "num_nodes": num_nodes,
         "variants": [r.variant for r in rows],
-        "wall_clock_s": round(elapsed, 4),
-        "cache_stats": stats,
-        "conflicts_hit_rate": stats["conflicts"]["hit_rate"],
+        "wall_clock_s": spread["median_s"],
+        "repeats": spread,
     }
 
 
@@ -152,7 +155,6 @@ def bench_stages(num_nodes: int) -> dict:
     from repro.network import Network
     from repro.network.placement import psion_placement
 
-    clear_caches()
     points, die = psion_placement(num_nodes)
     network = Network.from_positions(points, die=die)
     synth = XRingSynthesizer(network, SynthesisOptions(wl_budget=num_nodes))
@@ -183,7 +185,6 @@ def bench_profile(num_nodes: int) -> dict:
     points, die = psion_placement(num_nodes)
 
     def run_once(profiled: bool) -> tuple[float, dict]:
-        clear_caches()
         network = Network.from_positions(points, die=die)
         synth = XRingSynthesizer(network, SynthesisOptions(wl_budget=num_nodes))
         if not profiled:
@@ -255,7 +256,6 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
     # counters only exist inside a real one.
     metrics = MetricsRegistry()
 
-    clear_caches()
     network = Network.from_positions(points, die=die)
     synth = XRingSynthesizer(
         network, SynthesisOptions(wl_budget=num_nodes, lazy_conflicts=True)
@@ -275,17 +275,14 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
             demands=network.demands(),
         )
         shortcut_runs.append(seconds)
-    q1, median, q3 = statistics.quantiles(shortcut_runs, n=4, method="inclusive")
+    shortcuts_stage = _spread(shortcut_runs)
 
-    clear_caches()
     _, t_eager_ring_ref = _timed(
         construct_ring_tour, list(ref_points), lazy=False
     )
-    clear_caches()
     _, t_lazy_ring_ref = _timed(
         construct_ring_tour, list(ref_points), lazy=True
     )
-    clear_caches()
     _, t_lazy_ring = _timed(construct_ring_tour, list(points), lazy=True)
 
     return {
@@ -312,9 +309,7 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
         "cuts_added": cuts_added,
         "shortcuts_stage": {
             "runs": SHORTCUT_RUNS,
-            "median_s": round(median, 4),
-            "iqr_s": round(q3 - q1, 4),
-            "samples_s": [round(t, 4) for t in shortcut_runs],
+            **shortcuts_stage,
             "selected": len(design.shortcut_plan.shortcuts),
             "cpu_count": os.cpu_count(),
         },
@@ -385,14 +380,9 @@ def main(argv: list[str] | None = None) -> int:
             stage_latency=stage_latency_from_elapsed(
                 payload["stages"]["stage_elapsed_s"]
             ),
-            cache=payload["ablation_sweep"]["cache_stats"],
             extra={
                 "phase_wall_clock_s": dict(clocks),
                 "speedup_parallel": scaling["speedup_parallel"],
-                "speedup_warm_cache": scaling["speedup_warm_cache"],
-                "conflicts_hit_rate": payload["ablation_sweep"][
-                    "conflicts_hit_rate"
-                ],
                 "profiler_overhead_frac": payload["profile"][
                     "overhead_frac"
                 ],
@@ -433,14 +423,12 @@ def main(argv: list[str] | None = None) -> int:
         f"  scaling: cold={clocks['cold_workers1']}s"
         f" parallel(x{scaling['workers']})="
         f"{clocks['parallel_workers%d' % scaling['workers']]}s"
-        f" warm={clocks['warm_cache_workers1']}s"
-        f" | speedup parallel={speedup_text}"
-        f" warm-cache={scaling['speedup_warm_cache']}x"
+        f" (medians of {REPEATS}) | speedup parallel={speedup_text}"
     )
     ablation = payload["ablation_sweep"]
     print(
-        f"  ablation: {ablation['wall_clock_s']}s,"
-        f" conflicts hit rate={ablation['conflicts_hit_rate']:.2f}"
+        f"  ablation: {ablation['wall_clock_s']}s"
+        f" (IQR {ablation['repeats']['iqr_s']}s)"
     )
     profile = payload["profile"]
     print(

@@ -124,8 +124,9 @@ def _split_nodes(text: str) -> list[str]:
 
 
 def _attach_l2(args: argparse.Namespace) -> None:
-    """Attach the durable L2 cache when ``--cache-dir``/``--cache-nodes``
-    was passed (``serve`` wires its own through :class:`ServiceConfig`)."""
+    """Attach the durable L2 cache when ``batch`` got ``--cache-dir`` /
+    ``--cache-nodes`` (``serve`` wires its own through
+    :class:`ServiceConfig`)."""
     cache_dir = getattr(args, "cache_dir", "")
     cache_nodes = _split_nodes(getattr(args, "cache_nodes", ""))
     if not cache_dir and not cache_nodes:
@@ -947,16 +948,15 @@ def build_parser() -> argparse.ArgumentParser:
         "results are identical and input-ordered at any setting",
     )
 
-    # Durable L2 cache flags (synth, batch, experiments, serve).
+    # Durable L2 cache flags (batch, serve).
     cachep = argparse.ArgumentParser(add_help=False)
     cachep.add_argument(
         "--cache-dir",
         type=str,
         default="",
         help="durable L2 cache: persistent content-addressed store in "
-        "this directory (conflict dicts + finished batch results "
-        "survive process restarts; corrupt entries are quarantined "
-        "and recomputed)",
+        "this directory (finished case results survive process "
+        "restarts; corrupt entries are quarantined and recomputed)",
     )
     cachep.add_argument(
         "--cache-nodes",
@@ -974,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     synth = sub.add_parser(
-        "synth", help="synthesize one XRing router", parents=[obs, prof, cachep]
+        "synth", help="synthesize one XRing router", parents=[obs, prof]
     )
     synth.add_argument("--nodes", type=int, default=16)
     synth.add_argument(

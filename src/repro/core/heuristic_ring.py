@@ -24,7 +24,6 @@ import itertools
 from repro.core.ring import (
     RingTour,
     _choose_realizations,
-    copy_tour,
     validate_ring_points,
 )
 from repro.geometry import Point, conflicting_edge_indices
@@ -159,18 +158,10 @@ def construct_ring_tour_heuristic(
     repair loop then works by dict lookup.  When omitted, each tour
     is tested with one bulk-kernel query over its own n edges instead
     of building the full O(E²) dict, which is the point of the
-    heuristic at large N.  Results are served from / stored into the
-    process-global tour cache.
+    heuristic at large N.
     """
     n = len(points)
     validate_ring_points(points)
-
-    from repro.parallel.cache import get_cache
-
-    cache = get_cache()
-    cached = cache.tour_get("heuristic", points)
-    if cached is not None:
-        return copy_tour(cached)
 
     obs = get_obs()
     with obs.tracer.span("ring.heuristic", nodes=n):
@@ -192,5 +183,4 @@ def construct_ring_tour_heuristic(
         node_position_mm=node_position,
         crossing_count=crossing_count,
     )
-    cache.tour_put("heuristic", points, copy_tour(tour))
     return tour

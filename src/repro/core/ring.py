@@ -22,7 +22,6 @@ completely crossing-free is solved exactly as a 2-SAT instance.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
@@ -116,15 +115,9 @@ class RingTour:
         return None
 
 
-#: The conflict-pair construction lives in :mod:`repro.geometry` now so
-#: both ring constructors and the synthesis cache share one
-#: implementation; the old private name stays importable.
-_build_edge_conflicts = build_edge_conflicts
-
 #: Node count at or above which ``lazy=None`` (auto) enables lazy
 #: conflict-constraint generation.  Below it the eager model solves in
-#: well under a second and the cached full conflict dict is reused by
-#: later stages, so laziness buys nothing.
+#: well under a second, so laziness buys nothing.
 LAZY_THRESHOLD = 24
 
 #: Hard bound on cutting-plane rounds.  Termination is guaranteed
@@ -134,19 +127,6 @@ LAZY_THRESHOLD = 24
 #: incumbent is used and any residual crossings are reported honestly
 #: in ``RingTour.crossing_count``.
 LAZY_MAX_ROUNDS = 50
-
-
-def copy_tour(tour: RingTour) -> RingTour:
-    """An independent copy of a tour (fresh ``node_position_mm`` dict).
-
-    Everything else on :class:`RingTour` is immutable; the position
-    dict is the one field that in-place corruption (fault injection,
-    careless callers) could alter, so cached tours are always handed
-    out through this copy.
-    """
-    return dataclasses.replace(
-        tour, node_position_mm=dict(tour.node_position_mm)
-    )
 
 
 def _extract_cycles(selected: set[tuple[int, int]], n: int) -> list[list[int]]:
@@ -576,11 +556,7 @@ def construct_ring_tour(
 
     ``conflicts`` optionally pre-supplies the conflict-pair dict (the
     O(E²) dominant build cost) so retries after degradation do not pay
-    it twice; when omitted it comes from the process-global
-    :class:`~repro.parallel.cache.SynthesisCache`.  Unconstrained calls
-    (no ``time_limit``/``deadline``) also consult the tour cache —
-    budgeted calls never do, so timeout semantics stay observable, and
-    timed-out incumbents are never stored.
+    it twice; eager mode builds it when omitted.
 
     ``lazy`` selects conflict-constraint handling: ``False`` builds the
     eager model with every constraint-(3) row up front; ``True`` runs
@@ -595,33 +571,19 @@ def construct_ring_tour(
     n = len(points)
     validate_ring_points(points)
 
-    from repro.parallel.cache import get_cache
-
     obs = get_obs()
-    cache = get_cache()
     if lazy is None:
         lazy = conflicts is None and n >= LAZY_THRESHOLD
     mode = "lazy" if lazy else "eager"
-    cacheable = time_limit is None and deadline is None
-    if cacheable:
-        cached = cache.tour_get("milp", points, extra=(mode,))
-        if cached is not None:
-            return copy_tour(cached)
 
     with obs.tracer.span("ring.build_model", nodes=n, mode=mode) as build_span:
         if lazy:
             # Base model only — conflict rows arrive as cuts below.
-            # Built fresh (not via the model cache): the loop mutates
-            # it, and a cached model must stay pristine.
             model = _build_ring_model(points, {})
         else:
             if conflicts is None:
-                conflicts = cache.conflicts_for(
-                    points, lambda: build_edge_conflicts(points)
-                )
-            model = cache.model_for(
-                points, lambda: _build_ring_model(points, conflicts)
-            )
+                conflicts = build_edge_conflicts(points)
+            model = _build_ring_model(points, conflicts)
         build_span.set_attribute("constraints", model.num_constraints)
 
     lazy_rounds = 0
@@ -698,8 +660,6 @@ def construct_ring_tour(
         crossing_count=crossing_count,
         timed_out=timed_out,
     )
-    if cacheable and not timed_out:
-        cache.tour_put("milp", points, copy_tour(tour), extra=(mode,))
     return tour
 
 

@@ -107,10 +107,11 @@ class ShortcutPlan:
 def copy_plan(plan: ShortcutPlan) -> ShortcutPlan:
     """A defensively copied plan, safe to hand to callers.
 
-    The synthesis cache serves plans to fault-injected runs whose
-    corruptions replace list/dict entries in place; fresh containers
-    keep the cached original pristine (the :class:`Shortcut` and
-    :class:`ShortcutLeg` elements themselves are frozen).
+    A plan shared by the batch parent reaches every case of its group,
+    and fault-injected runs corrupt list/dict entries in place; fresh
+    containers keep the shared original pristine (the
+    :class:`Shortcut` and :class:`ShortcutLeg` elements themselves are
+    frozen).
     """
     return ShortcutPlan(shortcuts=list(plan.shortcuts), served=dict(plan.served))
 

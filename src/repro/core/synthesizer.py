@@ -33,11 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import geometry
 from repro.core.design import XRingDesign
 from repro.core.heuristic_ring import construct_ring_tour_heuristic
 from repro.core.mapping import SignalMapping, map_signals
 from repro.core.pdn import PdnDesign, build_pdn
-from repro.core.ring import LAZY_THRESHOLD, RingTour, construct_ring_tour
+from repro.core.ring import (
+    LAZY_THRESHOLD,
+    RingTour,
+    construct_ring_tour,
+    validate_ring_points,
+)
 from repro.core.shortcuts import ShortcutPlan, copy_plan, select_shortcuts
 from repro.core.validate import validate_design
 from repro.network import Network
@@ -169,8 +175,7 @@ def shortcut_plan_key(
     tour: RingTour, options: SynthesisOptions, demands
 ) -> tuple:
     """The content key of Step 2: every input :func:`plan_shortcuts`
-    reads.  The opt-in ``plans`` cache and the batch parent's Step-2
-    sharing both key on it, so the two cannot drift apart."""
+    reads.  The batch parent's Step-2 sharing groups cases on it."""
     from repro.parallel.cache import canonical_points
 
     return (
@@ -186,7 +191,7 @@ def shortcut_plan_key(
 def plan_shortcuts(
     tour: RingTour, options: SynthesisOptions, demands, deadline=None
 ) -> ShortcutPlan:
-    """Step 2 as ``options`` configure it, uncached and undegraded."""
+    """Step 2 as ``options`` configure it, undegraded."""
     return select_shortcuts(
         tour,
         enabled=options.enable_shortcuts,
@@ -321,9 +326,9 @@ class XRingSynthesizer:
         ) as span:
             record.span_id = span.span_id
             points = list(self.network.positions)
-            # Built once per floorplan (cached) and threaded through
-            # every retry below — degradation must not pay the O(E²)
-            # conflict build twice.
+            # Built at most once and threaded through every retry
+            # below — degradation must not pay the O(E²) conflict
+            # build twice.
             conflicts = None
             # Whether the heuristic built ``tour``: rebuilding with it
             # would only reproduce the tour, so a repair uses the MILP.
@@ -388,9 +393,9 @@ class XRingSynthesizer:
                 )
                 try:
                     if heuristic_built:
-                        tour = self._milp_tour(
-                            points, self._milp_conflicts(points), deadline
-                        )
+                        if conflicts is None:
+                            conflicts = self._milp_conflicts(points)
+                        tour = self._milp_tour(points, conflicts, deadline)
                     else:
                         tour = construct_ring_tour_heuristic(
                             points, conflicts=conflicts
@@ -415,7 +420,10 @@ class XRingSynthesizer:
         lazy = self.options.lazy_conflicts
         if lazy is None:
             lazy = len(points) >= LAZY_THRESHOLD
-        return None if lazy else self._ring_conflicts(points)
+        if lazy:
+            return None
+        validate_ring_points(points)
+        return geometry.build_edge_conflicts(points)
 
     def _milp_tour(self, points, conflicts, deadline: Deadline) -> RingTour:
         """Step 1 by the MILP (lazy mode when ``conflicts`` is None)."""
@@ -425,18 +433,6 @@ class XRingSynthesizer:
             deadline=deadline,
             conflicts=conflicts,
             lazy=conflicts is None,
-        )
-
-    @staticmethod
-    def _ring_conflicts(points):
-        """The floorplan's conflict-pair dict, via the synthesis cache."""
-        from repro.core.ring import validate_ring_points
-        from repro.geometry import build_edge_conflicts
-        from repro.parallel.cache import get_cache
-
-        validate_ring_points(points)
-        return get_cache().conflicts_for(
-            points, lambda: build_edge_conflicts(points)
         )
 
     def _tour_ok(self, tour: RingTour) -> bool:
@@ -472,7 +468,9 @@ class XRingSynthesizer:
                 try:
                     self.fault_plan.apply_before("shortcuts", deadline)
                     deadline.check("shortcuts")
-                    plan = self._select_shortcuts_cached(tour, span, deadline)
+                    plan = plan_shortcuts(
+                        tour, opts, self.network.demands(), deadline
+                    )
                 except SynthesisError as exc:
                     if self._reraise(exc):
                         raise
@@ -491,31 +489,6 @@ class XRingSynthesizer:
             span.set_attribute("status", record.status)
             span.set_attribute("selected", len(plan.shortcuts))
         record.elapsed_s = deadline.stage_elapsed_s["shortcuts"]
-        return plan
-
-    def _select_shortcuts_cached(
-        self, tour: RingTour, span, deadline: Deadline
-    ) -> ShortcutPlan:
-        """Step 2, memoized on its input content when result caching is
-        opted in (off by default; see
-        :meth:`repro.parallel.SynthesisCache.enable_result_caching`).
-        Under a deadline or MILP time limit the stage always runs, so
-        its timing stays observable, as for tours."""
-        from repro.parallel.cache import get_cache
-
-        opts = self.options
-        demands = self.network.demands()
-        cache = None
-        if opts.deadline_s is None and opts.milp_time_limit is None:
-            cache = get_cache()
-            key = shortcut_plan_key(tour, opts, demands)
-            cached = cache.plan_get(key)
-            if cached is not None:
-                span.set_attribute("cached", True)
-                return copy_plan(cached)
-        plan = plan_shortcuts(tour, opts, demands, deadline)
-        if cache is not None:
-            cache.plan_put(key, copy_plan(plan))
         return plan
 
     # -- stage 3: mapping ----------------------------------------------------

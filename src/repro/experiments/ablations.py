@@ -83,12 +83,12 @@ def run_shortcut_ablation(
     """Evaluate the four feature combinations on one network.
 
     Variants run through the batch engine.  When no ``tour`` is
-    passed, each variant constructs its own — served after the first
-    from the synthesis cache (result caching is enabled for the
-    duration of the sweep), so the floorplan's MILP solves once and
-    its conflict dict is a cache hit for every later variant.
+    passed, the batch parent builds the floorplan's Step-1 tour once
+    and shares it with all four variants, so the ring MILP solves
+    once; the two shortcut-enabled variants also share one Step-2
+    plan.  Designs equal independent per-variant runs.
     """
-    from repro.parallel import BatchCase, BatchSynthesizer, get_cache
+    from repro.parallel import BatchCase, BatchSynthesizer
 
     positions, die = psion_placement(num_nodes)
     network = Network.from_positions(positions, die=die)
@@ -102,15 +102,7 @@ def run_shortcut_ablation(
         )
         for variant in VARIANTS
     ]
-    cache = get_cache()
-    was_enabled = cache.result_caching
-    cache.enable_result_caching(True)
-    try:
-        report = BatchSynthesizer(
-            workers=workers, share_tours=False, on_error="raise"
-        ).run(cases)
-    finally:
-        cache.enable_result_caching(was_enabled)
+    report = BatchSynthesizer(workers=workers, on_error="raise").run(cases)
     return [
         AblationRow(variant, evaluate_design(design, loss, xtalk))
         for variant, design in zip(VARIANTS, report.designs)

@@ -173,10 +173,8 @@ def build_edge_conflicts(
     Keys and members are undirected pairs ``(i, j)`` with ``i < j``;
     conflicts are direction-independent because both directions of a
     pair share the same geometry.  This is the O(E²) structure behind
-    the MILP's constraint (3) and the dominant model-build cost, which
-    is why :class:`repro.parallel.cache.SynthesisCache` memoizes whole
-    result dicts per floorplan.  Treat the returned mapping as
-    read-only when it may have come from a cache.
+    the MILP's constraint (3) and the dominant model-build cost, so
+    callers build it once per floorplan and thread it through retries.
 
     Evaluated at every size by the vectorized kernel of
     :mod:`repro.geometry.conflicts_bulk` (3.2 ms against 35 ms for the

@@ -1,10 +1,11 @@
-"""Fault-tolerant batch synthesis over process pools, plus caching.
+"""Fault-tolerant batch synthesis over process pools, plus the L2 cache.
 
 Four cooperating pieces:
 
 - :mod:`repro.parallel.cache` — :class:`SynthesisCache`, the
-  process-global memo for conflict-pair dicts, built ring MILP models
-  and solved tours, keyed on canonical point tuples;
+  process-global holder of the durable L2 backend
+  (:mod:`repro.parallel.store` on local disk, :mod:`repro.parallel.shard`
+  across cache nodes), which keeps finished batch results;
 - :mod:`repro.parallel.supervisor` — :class:`WorkerSupervisor`, the
   self-healing worker pool: per-case watchdog timeouts (hung workers
   are killed and respawned), retry with exponential backoff + seeded
@@ -16,7 +17,8 @@ Four cooperating pieces:
 - :mod:`repro.parallel.batch` — :class:`BatchSynthesizer`, which runs
   many :class:`BatchCase` synthesis problems through the supervisor
   (or inline for ``workers=1``) with deterministic input-order
-  results and merged observability.
+  results and merged observability; cases on one floorplan share
+  Steps 1-2, built once in the parent.
 
 The experiments (:mod:`repro.experiments`) and the CLI ``batch``
 subcommand / ``--workers`` flag are built on this package.
@@ -30,7 +32,6 @@ from repro.parallel.batch import (
     BatchSynthesizer,
 )
 from repro.parallel.cache import (
-    DEFAULT_SECTION_CAPACITY,
     SynthesisCache,
     canonical_points,
     clear_caches,
@@ -95,7 +96,6 @@ __all__ = [
     "EVENT_CIRCUIT_OPEN",
     "EVENT_HEARTBEAT",
     "SynthesisCache",
-    "DEFAULT_SECTION_CAPACITY",
     "canonical_points",
     "clear_caches",
     "configure_l2",

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import pickle
 import time
 import zlib
@@ -217,6 +216,8 @@ class BatchReport:
     #: attribute with the case label (plus parent-side
     #: ``batch.attempt`` records when supervision retried anything).
     span_records: list[dict[str, Any]] = field(default_factory=list)
+    #: ``get_cache().stats()`` at join: ``{"l2": ...}`` with an L2
+    #: attached, else empty.
     cache_stats: dict[str, Any] = field(default_factory=dict)
     #: Supervisor event summary (retries, restarts, quarantine, ...).
     supervisor: dict[str, Any] = field(default_factory=dict)
@@ -606,45 +607,6 @@ class BatchSynthesizer:
         journal_obj.begin(batch_fingerprint(keys), len(keys))
         return journal_obj
 
-    @staticmethod
-    def _fold_worker_cache_stats(
-        outcomes: list[BatchResult], cache_stats: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Add worker-process cache-section deltas into parent stats.
-
-        ``get_cache().stats()`` only sees this process; pool workers'
-        hit/miss counters died with them until ``_execute_case``
-        started shipping per-case deltas.  In-process outcomes (same
-        pid) already live in the parent counters and are skipped, as
-        are restored results (their cache work happened in a previous
-        run).
-        """
-        parent_pid = os.getpid()
-        for outcome in outcomes:
-            delta = (
-                outcome.metrics.pop("cache_sections", None)
-                if isinstance(outcome.metrics, dict)
-                else None
-            )
-            if not delta or outcome.resumed or outcome.cached:
-                continue
-            if outcome.worker_pid == parent_pid:
-                continue
-            for name, counts in delta.items():
-                section = cache_stats.get(name)
-                if not isinstance(section, dict) or "hits" not in section:
-                    continue
-                section["hits"] = section.get("hits", 0) + counts.get("hits", 0)
-                section["misses"] = section.get("misses", 0) + counts.get(
-                    "misses", 0
-                )
-                total = section["hits"] + section["misses"]
-                if "hit_rate" in section:
-                    section["hit_rate"] = (
-                        section["hits"] / total if total else 0.0
-                    )
-        return cache_stats
-
     def _join(
         self,
         outcomes: list[BatchResult],
@@ -695,9 +657,7 @@ class BatchSynthesizer:
             total_elapsed_s=time.perf_counter() - start,
             metrics=merged,
             span_records=span_records,
-            cache_stats=self._fold_worker_cache_stats(
-                outcomes, get_cache().stats()
-            ),
+            cache_stats=get_cache().stats(),
             supervisor=stats.to_dict(),
             interrupted=stats.interrupted,
             circuit_opened=stats.circuit_opened,

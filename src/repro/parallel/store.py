@@ -2,9 +2,9 @@
 
 :class:`PersistentStore` keeps one file per cache entry under a
 2-level hashed directory fan-out (``root/<section>/ab/cd/<key>.xre``),
-so the process LRU (:class:`~repro.parallel.cache.SynthesisCache`,
-the L1) survives restarts and host moves.  Entries are opaque payload
-bytes — callers pickle/compress — preceded by a one-line JSON header:
+so finished results survive restarts and host moves.  Entries are
+opaque payload bytes — callers pickle/compress — preceded by a
+one-line JSON header:
 
 ``{"magic": "xrs", "schema": 1, "section": ..., "key": ...,
 "payload_sha256": ..., "payload_len": ..., "meta": {...}}``
@@ -27,7 +27,7 @@ Failure semantics (the point of this module):
   are never handed to a caller, so they can never deserialize into a
   design.
 - **Degraded mode** — an unwritable or uncreatable root logs one
-  WARNING and flips the store to in-memory no-op: synthesis must
+  WARNING and flips the store to a no-op: synthesis must
   never fail because the cache is sick.
 
 :meth:`verify` is the anti-entropy scrub primitive (re-checksum every
@@ -99,8 +99,8 @@ class PersistentStore:
         except OSError as exc:
             self.disabled = True
             _log.warning(
-                "cache store %s is unwritable (%s); degrading to "
-                "in-memory-only caching",
+                "cache store %s is unwritable (%s); degrading to a "
+                "no-op store",
                 self.root,
                 exc,
             )
@@ -382,10 +382,8 @@ def counter_metric_name(counter_key: str) -> str | None:
 
     Whole-result traffic (section ``results``) is the headline
     ``cache.l2.hits`` / ``cache.l2.misses`` / ``cache.l2.puts``;
-    store-health counters map to ``cache.store.*``; other sections are
-    counted ambient-side where they happen (worker-process counters
-    travel in per-case metric snapshots) and return ``None`` here so
-    the batch join never double-counts them.
+    store-health counters map to ``cache.store.*``; other sections
+    return ``None``.
     """
     name, _, section = counter_key.partition(":")
     if name in ("quarantined", "evicted"):

@@ -215,17 +215,6 @@ class BatchResult:
         }
 
 
-def _cache_section_counts() -> dict[str, tuple[int, int]]:
-    """Per-section (hits, misses) of the process-global cache."""
-    from repro.parallel.cache import get_cache
-
-    counts: dict[str, tuple[int, int]] = {}
-    for name, section in get_cache().stats().items():
-        if isinstance(section, dict) and "hits" in section and "misses" in section:
-            counts[name] = (int(section["hits"]), int(section["misses"]))
-    return counts
-
-
 def _execute_case(
     index: int,
     case: BatchCase,
@@ -247,7 +236,6 @@ def _execute_case(
     registry = MetricsRegistry()
     tracer = Tracer() if collect_spans else NULL_TRACER
     result = BatchResult(index=index, label=case.named(), worker_pid=os.getpid())
-    cache_before = _cache_section_counts()
     with use_obs(ObsContext(tracer=tracer, metrics=registry)):
         try:
             synthesizer = XRingSynthesizer(
@@ -262,19 +250,6 @@ def _execute_case(
             )
     result.elapsed_s = time.perf_counter() - start
     result.metrics = registry.snapshot()
-    # Worker-process cache counters die with the process; ship the
-    # per-case delta so the batch join can fold them into truthful
-    # whole-batch cache stats (the parent's own stats() misses them).
-    sections: dict[str, dict[str, int]] = {}
-    for name, (hits, misses) in _cache_section_counts().items():
-        before_h, before_m = cache_before.get(name, (0, 0))
-        if hits - before_h or misses - before_m:
-            sections[name] = {
-                "hits": hits - before_h,
-                "misses": misses - before_m,
-            }
-    if sections:
-        result.metrics["cache_sections"] = sections
     if collect_spans:
         records = [
             dict(span.to_dict(), case=result.label)

@@ -905,6 +905,13 @@ class JobManager:
         with use_request_id(record.request_id or ""):
             report = synthesizer.run([job.case])
         result = report.results[0]
+        # The batch join counts the job's L2 traffic (``cache.l2.*``,
+        # ``cache.store.*``) on the report, not on the case snapshot
+        # that _apply_result merges; carry it over.
+        counters = result.metrics.setdefault("counters", {})
+        for name, value in report.metrics.snapshot()["counters"].items():
+            if name.startswith("cache."):
+                counters[name] = counters.get(name, 0) + value
         root = {
             "name": "job",
             "span_id": 0,

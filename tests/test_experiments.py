@@ -19,7 +19,10 @@ from repro.experiments import (
     run_wavelength_sweep,
     sweep_ring_router,
 )
+from repro.core.synthesizer import XRingSynthesizer
 from repro.experiments.ablations import format_ablation
+from repro.obs import canonical_json
+from repro.parallel import BatchSynthesizer
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,31 @@ class TestSweepsAndAblations:
         assert variants["no-openings"].noisy > variants["full"].noisy
         text = format_ablation(rows)
         assert "no-shortcuts" in text
+
+    def test_ablation_shares_one_step1_solve(self, monkeypatch):
+        """Without a ``tour``, the four variants share the batch
+        parent's one ring MILP solve, and every design equals an
+        independent run of its variant byte for byte."""
+        runs = []
+        original = BatchSynthesizer.run
+
+        def recording_run(self, cases, **kwargs):
+            report = original(self, cases, **kwargs)
+            runs.append((list(cases), report))
+            return report
+
+        monkeypatch.setattr(BatchSynthesizer, "run", recording_run)
+        rows = run_shortcut_ablation(8)
+        assert len(rows) == 4
+        ((cases, report),) = runs
+        counters = report.metrics.snapshot()["counters"]
+        assert counters.get("milp.solves.optimal") == 1
+        for case, design in zip(cases, report.designs):
+            assert case.tour is None
+            serial = XRingSynthesizer(case.network, case.options).run()
+            assert canonical_json(design.to_dict()) == canonical_json(
+                serial.to_dict()
+            )
 
     def test_wavelength_sweep_runs(self):
         rows = run_wavelength_sweep(8, budgets=[6, 8])

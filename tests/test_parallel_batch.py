@@ -1,4 +1,4 @@
-"""Unit tests for the batch engine and the synthesis cache."""
+"""Unit tests for the batch engine and the L2 cache holder."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro.core import synthesizer as synthesizer_module
 from repro.core.shortcuts import ShortcutPlan, copy_plan
 from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
-from repro.geometry import Point, build_edge_conflicts
+from repro.geometry import Point
 from repro.network import Network
 from repro.obs import MetricsRegistry, stitch_spans
 from repro.parallel import (
@@ -17,7 +17,6 @@ from repro.parallel import (
     BatchError,
     BatchSynthesizer,
     SupervisorConfig,
-    SynthesisCache,
     canonical_points,
     clear_caches,
     get_cache,
@@ -367,55 +366,6 @@ class TestSynthesisCache:
         key = canonical_points(self.POINTS)
         assert key == ((0.0, 0.0), (0.4, 0.0), (0.4, 0.4), (0.0, 0.4))
 
-    def test_conflicts_built_once_per_floorplan(self, fresh_cache):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return build_edge_conflicts(self.POINTS)
-
-        first = fresh_cache.conflicts_for(self.POINTS, build)
-        second = fresh_cache.conflicts_for(self.POINTS, build)
-        assert first is second
-        assert len(calls) == 1
-        stats = fresh_cache.stats()["conflicts"]
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-
-    def test_result_caching_is_opt_in(self, fresh_cache):
-        fresh_cache.tour_put("heuristic", self.POINTS, "tour")
-        fresh_cache.plan_put("key", ShortcutPlan())
-        assert fresh_cache.tour_get("heuristic", self.POINTS) is None
-        assert fresh_cache.plan_get("key") is None
-        # Disabled lookups must not pollute the counters.
-        assert fresh_cache.stats()["tours"]["misses"] == 0
-        assert fresh_cache.stats()["plans"]["misses"] == 0
-
-        fresh_cache.enable_result_caching(True)
-        try:
-            fresh_cache.tour_put("heuristic", self.POINTS, "tour")
-            assert fresh_cache.tour_get("heuristic", self.POINTS) == "tour"
-        finally:
-            fresh_cache.enable_result_caching(False)
-
-    def test_plan_lookups_skipped_under_a_time_limit(self, fresh_cache, network8):
-        fresh_cache.enable_result_caching(True)
-        try:
-            for limit in ({"deadline_s": 60.0}, {"milp_time_limit": 60.0}):
-                options = SynthesisOptions(ring_method="heuristic", **limit)
-                for _ in range(2):
-                    XRingSynthesizer(network8, options).run()
-                stats = fresh_cache.stats()["plans"]
-                assert stats["hits"] == stats["misses"] == stats["size"] == 0
-            options = SynthesisOptions(ring_method="heuristic")
-            for _ in range(2):
-                XRingSynthesizer(network8, options).run()
-            stats = fresh_cache.stats()["plans"]
-            assert (stats["hits"], stats["misses"]) == (1, 1)
-        finally:
-            fresh_cache.enable_result_caching(False)
-
     def test_copy_plan_shields_cached_original(self):
         plan = ShortcutPlan(shortcuts=[], served={})
         clone = copy_plan(plan)
@@ -424,23 +374,14 @@ class TestSynthesisCache:
         assert plan.shortcuts == []
         assert plan.served == {}
 
-    def test_lru_eviction_respects_capacity(self):
-        cache = SynthesisCache(capacity=2)
-        for i in range(3):
-            cache.conflicts.put(i, i)
-        assert cache.conflicts.stats()["size"] == 2
-        assert cache.conflicts.get(0) is None  # evicted
-        assert cache.conflicts.get(2) == 2
+    def test_clear_caches_detaches_l2(self, fresh_cache):
+        class Backend:
+            def stats(self):
+                return {"entries": 3}
 
-    def test_clear_caches_resets_counters(self, fresh_cache):
-        fresh_cache.conflicts_for(
-            self.POINTS, lambda: build_edge_conflicts(self.POINTS)
-        )
+        assert fresh_cache.stats() == {}
+        fresh_cache.attach_l2(Backend())
+        assert get_cache().stats() == {"l2": {"entries": 3}}
         clear_caches()
-        stats = get_cache().stats()["conflicts"]
-        assert stats == {
-            "hits": 0,
-            "misses": 0,
-            "size": 0,
-            "hit_rate": 0.0,
-        }
+        assert get_cache().l2 is None
+        assert get_cache().stats() == {}
