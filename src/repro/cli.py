@@ -43,6 +43,7 @@ the cross-run ledger (``.xring_history/`` by convention).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,7 +52,6 @@ import time
 from repro.analysis import evaluate_circuit
 from repro.core import SynthesisOptions, XRingSynthesizer
 from repro.network import Network
-from repro.network.placement import extended_placement, psion_placement
 from repro.obs import (
     LOG_LEVELS,
     NULL_METRICS,
@@ -89,11 +89,9 @@ _HISTORY_KINDS = {
 def _make_network(num_nodes: int, placement_file: str = "") -> Network:
     if placement_file:
         return _load_placement(placement_file)
-    try:
-        points, die = psion_placement(num_nodes)
-    except ValueError:
-        points, die = extended_placement(num_nodes)
-    return Network.from_positions(points, die=die)
+    from repro.service.jobs import network_from_spec
+
+    return network_from_spec({"nodes": num_nodes})
 
 
 def _load_placement(path: str) -> Network:
@@ -297,25 +295,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_options(spec: dict, index: int) -> SynthesisOptions:
-    """Translate one JSON case spec into :class:`SynthesisOptions`.
-
-    Delegates to the job service's spec parser so ``xring batch`` case
-    files and ``POST /jobs`` bodies share one schema.
-    """
-    from repro.service.jobs import options_from_spec
-
-    return options_from_spec(spec, index)
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Run a JSON-described list of synthesis cases through the pool.
 
     The case file is either a list of case objects or
-    ``{"cases": [...]}``; each case takes ``nodes`` (or ``placement``,
-    a JSON placement file as for ``synth``) plus the option fields of
-    :func:`_batch_options`.  Failures are retried per ``--retries``
-    and collected per case; the exit code is the number of failed
+    ``{"cases": [...]}``; each case is a ``POST /jobs`` spec, parsed by
+    :func:`repro.service.jobs.case_from_spec` (so a misspelled field
+    is an error, not a default), plus one CLI-only key: ``placement``,
+    a JSON placement file as for ``synth``.  Failures are retried per
+    ``--retries`` and collected per case; the exit code is the number of failed
     cases (0 = all ok, 130 = interrupted).
 
     ``--journal`` checkpoints every finished case; Ctrl-C / SIGTERM
@@ -331,7 +319,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import threading
 
     from repro.obs import atomic_write_text
-    from repro.parallel import BatchCase, BatchSynthesizer, SupervisorConfig
+    from repro.parallel import BatchSynthesizer, SupervisorConfig
+    from repro.service.jobs import case_from_spec
 
     if (
         args.resume
@@ -353,16 +342,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     specs = data["cases"] if isinstance(data, dict) else data
     cases = []
     for index, spec in enumerate(specs):
-        options = _batch_options(spec, index)
-        cases.append(
-            BatchCase(
-                network=_make_network(
-                    int(spec.get("nodes", 16)), spec.get("placement", "")
-                ),
-                options=options,
-                label=options.label,
-            )
-        )
+        placement = spec.pop("placement", "") if isinstance(spec, dict) else ""
+        case = case_from_spec(spec, index)
+        if placement:
+            case = dataclasses.replace(case, network=_load_placement(placement))
+        cases.append(case)
     journal_path = args.resume or args.journal
     on_event = None
     if args.progress:
@@ -421,7 +405,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     args._history = {
         "label": f"batch-{os.path.basename(args.cases)}",
         "supervisor": report.supervisor,
-        "cache": report.cache_stats,
         "wall_s": report.total_elapsed_s,
         "extra": {
             "cases": len(report.results),
@@ -999,8 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="ring MILP conflict rows: on = cutting-plane generation "
         "(add only violated rows, skip the O(E^2) precompute), off = "
-        "eager full model, auto = lazy at >= 24 nodes (round/cut "
-        "counts land in the ring.lazy.* metrics)",
+        "the same loop seeded with every row, auto = lazy at >= 24 "
+        "nodes (round/cut counts land in the ring.lazy.* metrics)",
     )
     synth.add_argument(
         "--deadline",
@@ -1550,7 +1533,7 @@ def _record_history(
     """Append this invocation's run record to the ``--history-dir`` ledger.
 
     Commands deposit run-specific extras (label, options, quality,
-    supervisor/cache stats) in ``args._history``; everything else is
+    supervisor stats) in ``args._history``; everything else is
     derived from the metrics registry snapshot.
     """
     extras = getattr(args, "_history", None) or {}
@@ -1562,7 +1545,6 @@ def _record_history(
         wall_s=extras.get("wall_s", wall_s),
         quality=extras.get("quality"),
         supervisor=extras.get("supervisor"),
-        cache=extras.get("cache"),
         extra=extras.get("extra"),
     )
     ledger = RunLedger(args.history_dir)

@@ -19,8 +19,6 @@ ablation benchmark compares it against the MILP on the paper's sizes.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.core.ring import (
     RingTour,
     _choose_realizations,
@@ -77,28 +75,15 @@ def _two_opt(order: list[int], points: list[Point], max_rounds: int = 20) -> lis
 
 
 def _conflicting_edge_pairs(
-    order: list[int],
-    points: list[Point],
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
+    order: list[int], points: list[Point]
 ) -> list[tuple[int, int]]:
     """Indices (k1, k2) of tour edges that are geometrically conflicting.
 
-    With a precomputed ``conflicts`` dict (undirected ``(i, j)``,
-    ``i < j`` — see :func:`repro.geometry.build_edge_conflicts`) this
-    is pure dict lookups; otherwise one bulk-kernel query
-    (:func:`~repro.geometry.conflicting_edge_indices`) tests the tour.
-    Either way pairs come in ``itertools.combinations`` order.
+    One bulk-kernel query (:func:`~repro.geometry.conflicting_edge_indices`)
+    tests the tour's own n edges; pairs come in
+    ``itertools.combinations`` order.
     """
     n = len(order)
-    if conflicts is not None:
-        pairs = [
-            tuple(sorted((order[k], order[(k + 1) % n]))) for k in range(n)
-        ]
-        return [
-            (k1, k2)
-            for k1, k2 in itertools.combinations(range(n), 2)
-            if pairs[k2] in conflicts.get(pairs[k1], ())
-        ]
     return conflicting_edge_indices(
         points, [(order[k], order[(k + 1) % n]) for k in range(n)]
     )
@@ -108,7 +93,6 @@ def _repair_conflicts(
     order: list[int],
     points: list[Point],
     max_repairs: int = 200,
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
 ) -> list[int]:
     """Remove conflicting edge pairs with targeted 2-opt reversals.
 
@@ -120,7 +104,7 @@ def _repair_conflicts(
     n = len(order)
     repairs = get_obs().metrics.counter("ring.heuristic.conflict_repairs")
     for _ in range(max_repairs):
-        conflicting = _conflicting_edge_pairs(order, points, conflicts)
+        conflicting = _conflicting_edge_pairs(order, points)
         if not conflicting:
             return order
         repairs.inc()
@@ -130,9 +114,7 @@ def _repair_conflicts(
             if i == 0 and j == n - 1:
                 continue
             candidate = order[: i + 1] + order[i + 1 : j + 1][::-1] + order[j + 1 :]
-            if len(
-                _conflicting_edge_pairs(candidate, points, conflicts)
-            ) < len(conflicting):
+            if len(_conflicting_edge_pairs(candidate, points)) < len(conflicting):
                 cost = _tour_length(candidate, points)
                 if best is None or cost < best[0]:
                     best = (cost, candidate)
@@ -142,23 +124,15 @@ def _repair_conflicts(
     raise SolveError("conflict repair exceeded the move budget")
 
 
-def construct_ring_tour_heuristic(
-    points: list[Point],
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
-) -> RingTour:
+def construct_ring_tour_heuristic(points: list[Point]) -> RingTour:
     """Nearest-neighbour + 2-opt + conflict-repair ring construction.
 
     Same output type and invariants as the exact
     :func:`~repro.core.ring.construct_ring_tour`; tours are typically
     within a few percent of the MILP optimum and build in milliseconds
-    even at hundreds of nodes.
-
-    ``conflicts`` optionally reuses an already-built conflict-pair dict
-    (e.g. from the MILP attempt this call is degrading from) — the
-    repair loop then works by dict lookup.  When omitted, each tour
-    is tested with one bulk-kernel query over its own n edges instead
-    of building the full O(E²) dict, which is the point of the
-    heuristic at large N.
+    even at hundreds of nodes: each tour is tested with one bulk-kernel
+    query over its own n edges instead of building the full O(E²)
+    conflict dict.
     """
     n = len(points)
     validate_ring_points(points)
@@ -167,7 +141,7 @@ def construct_ring_tour_heuristic(
     with obs.tracer.span("ring.heuristic", nodes=n):
         order = _nearest_neighbour(points)
         order = _two_opt(order, points)
-        order = _repair_conflicts(order, points, conflicts=conflicts)
+        order = _repair_conflicts(order, points)
         paths, crossing_count = _choose_realizations(order, points)
 
     node_position: dict[int, float] = {}

@@ -398,10 +398,9 @@ def _choose_realizations(
 def validate_ring_points(points: list[Point]) -> None:
     """Reject inputs no ring construction can handle (typed).
 
-    Shared by both constructors and by callers that precompute
-    geometry (conflict dicts) before invoking them, so bad input
-    always surfaces as :class:`~repro.robustness.errors.InputError`
-    rather than a geometry-layer ``ValueError``.
+    Shared by both constructors, so bad input always surfaces as
+    :class:`~repro.robustness.errors.InputError` rather than a
+    geometry-layer ``ValueError``.
     """
     n = len(points)
     if n < 3:
@@ -437,55 +436,35 @@ def _raise_for_ring_solution(solution, n: int) -> None:
         )
 
 
-def _violated_conflict_pairs(
-    points: list[Point],
-    selected_pairs: list[tuple[int, int]],
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None,
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Conflicting pairs among an incumbent's selected undirected edges.
-
-    With a precomputed conflict dict this is set lookups; without one
-    the bulk geometry kernel checks just the few selected edges — the
-    point of laziness is that an incumbent has only n edges, so the
-    check is O(n²) pair tests instead of the full O(E²) sweep.
-    """
-    if conflicts is None:
-        from repro.geometry import conflicting_edge_pairs
-
-        return conflicting_edge_pairs(points, selected_pairs)
-    violated = []
-    for idx, pair_a in enumerate(selected_pairs):
-        conflicting = conflicts[pair_a]
-        for pair_b in selected_pairs[idx + 1 :]:
-            if pair_b in conflicting:
-                violated.append((pair_a, pair_b))
-    return violated
-
-
-def _solve_ring_lazy(
+def _solve_ring(
     model: Model,
     points: list[Point],
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None,
     time_limit: float | None,
     deadline: Deadline | None,
 ):
     """Cutting-plane solve: add violated conflict rows to a fixed point.
 
-    ``model`` starts with constraints (1)-(2) and objective (4) only.
-    Each round solves, detects conflicting pairs among the incumbent's
-    selected edges, and adds exactly those constraint-(3) rows (named
+    ``model`` carries constraints (1)-(2), objective (4) and whichever
+    constraint-(3) rows the caller seeded: none in lazy mode, every row
+    in eager mode.  Each round solves, detects conflicting pairs among
+    the incumbent's selected edges with one bulk-kernel query (an
+    incumbent has only n edges, so that is O(n²) pair tests instead of
+    the full O(E²) sweep), and adds exactly those rows (named
     identically to the eager model's, smaller pair first), until an
     incumbent is conflict-free — at which point it is feasible for the
-    eager model and therefore shares its optimal objective value.
+    full model and therefore shares its optimal objective value.  A
+    fully seeded model is conflict-free after its first solve.
 
-    Budget behaviour mirrors the eager path: a timeout with an
-    incumbent stops cutting and returns it flagged ``timed_out``; a
-    timeout before any incumbent raises ``StageTimeout`` — unless an
-    earlier round produced one, which is then returned (its residual
-    violations surface in ``crossing_count``, the honest degradation).
+    A timeout with an incumbent stops cutting and returns it flagged
+    ``timed_out``; a timeout before any incumbent raises
+    ``StageTimeout`` — unless an earlier round produced one, which is
+    then returned (its residual violations surface in
+    ``crossing_count``, the honest degradation).
 
     Returns ``(solution, selected, timed_out, rounds, cuts_added)``.
     """
+    from repro.geometry import conflicting_edge_pairs
+
     n = len(points)
     b_vars = model._ring_edge_vars
     start = time.perf_counter()
@@ -516,7 +495,7 @@ def _solve_ring_lazy(
         undirected = sorted(
             {(i, j) if i < j else (j, i) for i, j in selected}
         )
-        violated = _violated_conflict_pairs(points, undirected, conflicts)
+        violated = conflicting_edge_pairs(points, undirected)
         fresh = [
             pair for pair in violated if frozenset(pair) not in added
         ]
@@ -540,7 +519,6 @@ def construct_ring_tour(
     points: list[Point],
     time_limit: float | None = None,
     deadline: Deadline | None = None,
-    conflicts: dict[tuple[int, int], set[tuple[int, int]]] | None = None,
     lazy: bool | None = None,
 ) -> RingTour:
     """Synthesize the minimum-length crossing-free ring tour.
@@ -554,58 +532,34 @@ def construct_ring_tour(
     model is infeasible (e.g. duplicate node positions making every
     drawing illegal).
 
-    ``conflicts`` optionally pre-supplies the conflict-pair dict (the
-    O(E²) dominant build cost) so retries after degradation do not pay
-    it twice; eager mode builds it when omitted.
-
-    ``lazy`` selects conflict-constraint handling: ``False`` builds the
-    eager model with every constraint-(3) row up front; ``True`` runs
-    the cutting-plane loop of :func:`_solve_ring_lazy`, adding only
-    violated rows (and, when ``conflicts`` is also ``None``, skipping
-    the full O(E²) conflict build entirely); ``None`` (the default)
-    picks lazily at :data:`LAZY_THRESHOLD` nodes and above when no
-    conflict dict was supplied.  Both modes reach the same objective
-    value; round/cut counts land in the ``ring.lazy.rounds`` /
-    ``ring.lazy.cuts_added`` metrics.
+    ``lazy`` selects conflict-constraint handling; both modes run the
+    cutting-plane loop of :func:`_solve_ring`.  ``False`` (eager)
+    builds the O(E²) conflict dict and seeds the model with every
+    constraint-(3) row; ``True`` starts from no conflict rows and adds
+    only violated ones, skipping the dict entirely; ``None`` (the
+    default) goes lazy at :data:`LAZY_THRESHOLD` nodes and above.  Both
+    modes reach the same objective value; lazy round/cut counts land in
+    the ``ring.lazy.rounds`` / ``ring.lazy.cuts_added`` metrics.
     """
     n = len(points)
     validate_ring_points(points)
 
     obs = get_obs()
     if lazy is None:
-        lazy = conflicts is None and n >= LAZY_THRESHOLD
-    mode = "lazy" if lazy else "eager"
-
-    with obs.tracer.span("ring.build_model", nodes=n, mode=mode) as build_span:
-        if lazy:
-            # Base model only — conflict rows arrive as cuts below.
-            model = _build_ring_model(points, {})
-        else:
-            if conflicts is None:
-                conflicts = build_edge_conflicts(points)
-            model = _build_ring_model(points, conflicts)
+        lazy = n >= LAZY_THRESHOLD
+    with obs.tracer.span(
+        "ring.build_model", nodes=n, mode="lazy" if lazy else "eager"
+    ) as build_span:
+        conflicts = None if lazy else build_edge_conflicts(points)
+        model = _build_ring_model(points, conflicts or {})
         build_span.set_attribute("constraints", model.num_constraints)
 
-    lazy_rounds = 0
+    _, selected, timed_out, rounds, cuts_added = _solve_ring(
+        model, points, time_limit, deadline
+    )
     if lazy:
-        solution, selected, timed_out, lazy_rounds, cuts_added = (
-            _solve_ring_lazy(
-                model, points, conflicts, time_limit, deadline
-            )
-        )
-        obs.metrics.counter("ring.lazy.rounds").inc(lazy_rounds)
+        obs.metrics.counter("ring.lazy.rounds").inc(rounds)
         obs.metrics.counter("ring.lazy.cuts_added").inc(cuts_added)
-    else:
-        solution = model.solve(time_limit=time_limit, deadline=deadline)
-        _raise_for_ring_solution(solution, n)
-        timed_out = solution.status is SolveStatus.TIMEOUT
-
-        b_vars = model._ring_edge_vars  # set by _build_ring_model
-        selected = {
-            edge
-            for edge, var in b_vars.items()
-            if solution.value(var, as_int=True) == 1
-        }
     conflict_constraints = sum(
         1 for con in model.constraints if con.name.startswith("conflict_")
     )

@@ -33,17 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import geometry
 from repro.core.design import XRingDesign
 from repro.core.heuristic_ring import construct_ring_tour_heuristic
 from repro.core.mapping import SignalMapping, map_signals
 from repro.core.pdn import PdnDesign, build_pdn
-from repro.core.ring import (
-    LAZY_THRESHOLD,
-    RingTour,
-    construct_ring_tour,
-    validate_ring_points,
-)
+from repro.core.ring import RingTour, construct_ring_tour
 from repro.core.shortcuts import ShortcutPlan, copy_plan, select_shortcuts
 from repro.core.validate import validate_design
 from repro.network import Network
@@ -125,11 +119,12 @@ class SynthesisOptions:
     mapping_order: str = "length"
     direction_policy: str = "shortest"
     milp_time_limit: float | None = None
-    #: Conflict-constraint handling for the ring MILP: ``True`` uses
-    #: lazy cutting-plane generation (skip the O(E²) conflict
-    #: precompute; add only violated rows), ``False`` builds the eager
-    #: model, ``None`` (auto) goes lazy at
-    #: :data:`repro.core.ring.LAZY_THRESHOLD` nodes and above.
+    #: Conflict-constraint handling for the ring MILP's cutting-plane
+    #: loop: ``True`` (lazy) skips the O(E²) conflict build and adds
+    #: only violated rows, ``False`` (eager) seeds the model with every
+    #: row, ``None`` (auto) goes lazy at
+    #: :data:`repro.core.ring.LAZY_THRESHOLD` nodes and above.  Only
+    #: :func:`repro.core.ring.construct_ring_tour` resolves ``None``.
     lazy_conflicts: bool | None = None
     loss: LossParameters = field(default_factory=lambda: ORING_LOSSES)
     label: str = "xring"
@@ -169,6 +164,20 @@ class SynthesisOptions:
             raise ConfigurationError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
+
+
+def build_ring(points, options: SynthesisOptions, deadline=None) -> RingTour:
+    """Step 1 as ``options`` configure it, undegraded: the one place
+    ``ring_method``, ``milp_time_limit`` and ``lazy_conflicts`` pick a
+    constructor."""
+    if options.ring_method == "heuristic":
+        return construct_ring_tour_heuristic(points)
+    return construct_ring_tour(
+        points,
+        time_limit=options.milp_time_limit,
+        deadline=deadline,
+        lazy=options.lazy_conflicts,
+    )
 
 
 def shortcut_plan_key(
@@ -326,43 +335,33 @@ class XRingSynthesizer:
         ) as span:
             record.span_id = span.span_id
             points = list(self.network.positions)
-            # Built at most once and threaded through every retry
-            # below — degradation must not pay the O(E²) conflict
-            # build twice.
-            conflicts = None
             # Whether the heuristic built ``tour``: rebuilding with it
             # would only reproduce the tour, so a repair uses the MILP.
-            heuristic_built = False
+            # A tour shared by the batch parent comes from the same
+            # :func:`build_ring` call.
+            heuristic_built = opts.ring_method == "heuristic"
             if provided is not None:
-                # A tour shared by the batch parent still passes the
-                # post-ring gate below; the parent builds it with the
-                # case's ring method.
+                # A shared tour still passes the post-ring gate below.
                 record.status = STATUS_PROVIDED
                 tour = provided
-                heuristic_built = opts.ring_method == "heuristic"
             else:
                 try:
                     self.fault_plan.apply_before("ring", deadline)
                     deadline.check("ring")
-                    if opts.ring_method == "milp":
-                        conflicts = self._milp_conflicts(points)
-                        tour = self._milp_tour(points, conflicts, deadline)
-                        if tour.timed_out:
-                            # In-budget incumbent: usable, but flagged.
-                            record.status = STATUS_FALLBACK
-                            record.fallback = "milp_incumbent"
-                            _log.warning(
-                                "ring MILP hit its time limit; keeping the "
-                                "in-budget incumbent (span_id=%s)",
-                                record.span_id,
-                            )
-                    else:
-                        tour = construct_ring_tour_heuristic(points)
-                        heuristic_built = True
+                    tour = build_ring(points, opts, deadline)
+                    if tour.timed_out:
+                        # In-budget MILP incumbent: usable, but flagged.
+                        record.status = STATUS_FALLBACK
+                        record.fallback = "milp_incumbent"
+                        _log.warning(
+                            "ring MILP hit its time limit; keeping the "
+                            "in-budget incumbent (span_id=%s)",
+                            record.span_id,
+                        )
                 except SynthesisError as exc:
                     if self._reraise(exc):
                         raise
-                    tour = construct_ring_tour_heuristic(points, conflicts=conflicts)
+                    tour = construct_ring_tour_heuristic(points)
                     heuristic_built = True
                     record.status = STATUS_FALLBACK
                     record.fallback = "heuristic_ring"
@@ -393,13 +392,14 @@ class XRingSynthesizer:
                 )
                 try:
                     if heuristic_built:
-                        if conflicts is None:
-                            conflicts = self._milp_conflicts(points)
-                        tour = self._milp_tour(points, conflicts, deadline)
-                    else:
-                        tour = construct_ring_tour_heuristic(
-                            points, conflicts=conflicts
+                        tour = construct_ring_tour(
+                            points,
+                            time_limit=opts.milp_time_limit,
+                            deadline=deadline,
+                            lazy=opts.lazy_conflicts,
                         )
+                    else:
+                        tour = construct_ring_tour_heuristic(points)
                 except SynthesisError as exc:
                     # The failing tour stays and fails the gate below.
                     if self._reraise(exc):
@@ -413,27 +413,6 @@ class XRingSynthesizer:
             span.set_attribute("status", record.status)
         record.elapsed_s = deadline.stage_elapsed_s["ring"]
         return tour
-
-    def _milp_conflicts(self, points):
-        """The conflict dict for the eager ring MILP, or ``None`` when
-        the lazy cutting-plane mode applies (it needs none)."""
-        lazy = self.options.lazy_conflicts
-        if lazy is None:
-            lazy = len(points) >= LAZY_THRESHOLD
-        if lazy:
-            return None
-        validate_ring_points(points)
-        return geometry.build_edge_conflicts(points)
-
-    def _milp_tour(self, points, conflicts, deadline: Deadline) -> RingTour:
-        """Step 1 by the MILP (lazy mode when ``conflicts`` is None)."""
-        return construct_ring_tour(
-            points,
-            time_limit=self.options.milp_time_limit,
-            deadline=deadline,
-            conflicts=conflicts,
-            lazy=conflicts is None,
-        )
 
     def _tour_ok(self, tour: RingTour) -> bool:
         """The post-ring gate: the "tour" design rule on a stub design."""

@@ -14,9 +14,8 @@ tooling needs:
 - **per-stage latency percentiles** pulled from the run's
   :class:`~repro.obs.metrics.MetricsRegistry` (``stage.*.latency_s``
   histograms, falling back to ``deadline.<stage>.elapsed_s`` gauges);
-- **solver counters** (HiGHS B&B nodes), **cache hit
-  rates**, and **supervisor stats** (retries / quarantines / circuit
-  state) for batch runs;
+- **solver counters** (HiGHS B&B nodes) and **supervisor stats**
+  (retries / quarantines / circuit state) for batch runs;
 - **design-quality metrics** from :mod:`repro.analysis` (wavelength
   count, worst-case insertion loss, worst-case SNR, noisy signals).
 
@@ -170,17 +169,6 @@ def solver_counters_from_snapshot(snapshot: dict[str, Any]) -> dict[str, int]:
     }
 
 
-def cache_hit_rates(cache_stats: dict[str, Any] | None) -> dict[str, float]:
-    """Per-section hit rates from :meth:`SynthesisCache.stats`."""
-    if not cache_stats:
-        return {}
-    rates: dict[str, float] = {}
-    for section, stats in cache_stats.items():
-        if isinstance(stats, dict) and "hit_rate" in stats:
-            rates[section] = float(stats["hit_rate"])
-    return rates
-
-
 def quality_from_evaluation(evaluation: Any) -> dict[str, Any]:
     """Design-quality metrics from a :class:`RouterEvaluation`."""
     return json_safe(
@@ -214,8 +202,6 @@ class RunRecord:
     stage_latency: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Headline solver counters (``bb_nodes``).
     solver: dict[str, int] = field(default_factory=dict)
-    #: Cache-section hit rates (``conflicts``, ``tours``, ...).
-    cache: dict[str, float] = field(default_factory=dict)
     #: Supervisor stats for batch runs (retries, quarantined, ...).
     supervisor: dict[str, Any] = field(default_factory=dict)
     #: Design-quality metrics (``wl_count``, ``il_w``, ``snr_worst_db``, ...).
@@ -235,17 +221,16 @@ class RunRecord:
         wall_s: float = 0.0,
         quality: dict[str, Any] | None = None,
         supervisor: dict[str, Any] | None = None,
-        cache: dict[str, Any] | None = None,
         stage_latency: dict[str, dict[str, Any]] | None = None,
         extra: dict[str, Any] | None = None,
         env: dict[str, Any] | None = None,
     ) -> "RunRecord":
         """Assemble a record from run outputs.
 
-        ``metrics`` is a registry snapshot; stage latencies, solver
-        counters and (absent an explicit ``cache``) nothing else are
-        derived from it.  ``stage_latency`` overrides the derivation
-        (the bench harness has per-stage clocks but no histograms).
+        ``metrics`` is a registry snapshot; stage latencies and solver
+        counters are derived from it.  ``stage_latency`` overrides the
+        derivation (the bench harness has per-stage clocks but no
+        histograms).
         """
         if kind not in RUN_KINDS:
             raise ValueError(
@@ -267,7 +252,6 @@ class RunRecord:
                 else stage_latency_from_snapshot(snapshot)
             ),
             solver=solver_counters_from_snapshot(snapshot),
-            cache=cache_hit_rates(cache),
             supervisor=json_safe(supervisor or {}),
             quality=json_safe(quality or {}),
             extra=json_safe(extra or {}),
@@ -289,7 +273,6 @@ class RunRecord:
             "wall_s": self.wall_s,
             "stage_latency": self.stage_latency,
             "solver": self.solver,
-            "cache": self.cache,
             "supervisor": self.supervisor,
             "quality": self.quality,
             "extra": self.extra,
@@ -309,7 +292,6 @@ class RunRecord:
             "wall_s": self.wall_s,
             "stage_latency": self.stage_latency,
             "solver": self.solver,
-            "cache": self.cache,
             "supervisor": self.supervisor,
             "quality": self.quality,
             "extra": self.extra,
@@ -317,6 +299,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
+        """Load a record; a legacy ``cache`` section is ignored."""
         return cls(
             run_id=data.get("run_id", ""),
             kind=data.get("kind", ""),
@@ -328,7 +311,6 @@ class RunRecord:
             wall_s=float(data.get("wall_s", 0.0)),
             stage_latency=data.get("stage_latency", {}),
             solver=data.get("solver", {}),
-            cache=data.get("cache", {}),
             supervisor=data.get("supervisor", {}),
             quality=data.get("quality", {}),
             extra=data.get("extra", {}),

@@ -50,7 +50,7 @@ LOW = "low"
 
 #: Metric categories, in report order.  The diff gates ``latency``
 #: and ``quality``; the scan scores them all.
-CATEGORIES = ("latency", "quality", "tail", "counter", "supervisor", "cache")
+CATEGORIES = ("latency", "quality", "tail", "counter", "supervisor")
 
 #: Bad side of every design-quality metric the ledger records.
 QUALITY_BAD_SIDE = {
@@ -93,8 +93,6 @@ def record_metrics(record: RunRecord) -> dict[str, Metric]:
     # worker restarts, timeouts, quarantines.
     for key, value in record.supervisor.items():
         rows.append((f"supervisor.{key}", value, "supervisor", HIGH))
-    for section, rate in record.cache.items():
-        rows.append((f"cache.{section}.hit_rate", rate, "cache", LOW))
     return {
         name: Metric(float(value), category, bad)
         for name, value, category, bad in rows

@@ -352,9 +352,13 @@ class BatchSynthesizer:
     def _tour_group_key(case: BatchCase):
         """Cases with equal keys may share one Step-1 construction.
 
-        ``None`` marks a case that must construct in-worker: it either
-        already has a tour, or runs under a time limit / deadline whose
-        budget accounting would be distorted by parent-side work.
+        The key is the floorplan plus the options
+        :func:`~repro.core.synthesizer.build_ring` reads, with
+        ``lazy_conflicts`` as given (auto stays ``None``; only the ring
+        constructor resolves it).  ``None`` marks a case that must
+        construct in-worker: it either already has a tour, or runs
+        under a time limit / deadline whose budget accounting would be
+        distorted by parent-side work.
         """
         opts = case.options
         if case.tour is not None:
@@ -364,6 +368,7 @@ class BatchSynthesizer:
         return (
             canonical_points(case.network.positions),
             opts.ring_method,
+            opts.lazy_conflicts,
         )
 
     def _share_steps(
@@ -416,16 +421,11 @@ class BatchSynthesizer:
     @staticmethod
     def _share_tour(cases: list[BatchCase], indices: list[int]) -> None:
         """Attach one Step-1 tour to every case in ``indices``."""
-        from repro.core.heuristic_ring import construct_ring_tour_heuristic
-        from repro.core.ring import construct_ring_tour
+        from repro.core.synthesizer import build_ring
 
         case = cases[indices[0]]
-        points = list(case.network.positions)
         try:
-            if case.options.ring_method == "milp":
-                tour = construct_ring_tour(points)
-            else:
-                tour = construct_ring_tour_heuristic(points)
+            tour = build_ring(list(case.network.positions), case.options)
         except Exception:
             _log.warning(
                 "shared ring construction failed; %d cases build their own",

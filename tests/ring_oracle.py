@@ -11,7 +11,7 @@ fast path is differentially tested against
 ``src/`` imports it.
 
 :func:`scalar_ring` swaps these functions, the scalar conflict sweep
-and a scalar lazy-cut check into the production modules, so
+and a scalar cutting-plane violation check into the production modules, so
 ``construct_ring_tour`` and ``construct_ring_tour_heuristic`` run end
 to end without touching the bulk kernel.
 """
@@ -224,10 +224,10 @@ def choose_realizations(
 
 
 def conflicting_tour_edges(
-    order: list[int], points: list[Point], conflicts=None
+    order: list[int], points: list[Point]
 ) -> list[tuple[int, int]]:
     """Scalar ``heuristic_ring._conflicting_edge_pairs``: one
-    ``edges_conflict`` call per tour-edge pair (``conflicts`` ignored)."""
+    ``edges_conflict`` call per tour-edge pair."""
     n = len(order)
     edges = [
         (points[order[k]], points[order[(k + 1) % n]]) for k in range(n)
@@ -240,7 +240,7 @@ def conflicting_tour_edges(
 
 
 def conflicting_edge_pairs(points, edges):
-    """Scalar lazy-cut check: conflicting pairs among ``edges``."""
+    """Scalar cutting-plane check: conflicting pairs among ``edges``."""
     return [
         (tuple(e1), tuple(e2))
         for e1, e2 in itertools.combinations(edges, 2)
@@ -252,7 +252,7 @@ def conflicting_edge_pairs(points, edges):
 def scalar_ring():
     """Run the ring constructors on the scalar oracles above.
 
-    Patches the conflict build, the lazy loop's violation check, the
+    Patches the conflict build, the cutting-plane loop's violation check, the
     sub-cycle merge, realization selection and the heuristic's tour
     check; callers clear the synthesis caches around it so no
     kernel-built artifact is reused.

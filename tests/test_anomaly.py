@@ -26,7 +26,7 @@ from repro.obs import (
 
 
 def _record(index, label="ring16", wall_s=2.0, snr=18.0, retries=0,
-            conflicts_rate=0.9, ring_p99=0.5):
+            ring_p99=0.5):
     return RunRecord(
         run_id=f"synth-2026-{index:04d}",
         kind="synth",
@@ -36,7 +36,6 @@ def _record(index, label="ring16", wall_s=2.0, snr=18.0, retries=0,
         options_hash="oh-abc",
         wall_s=wall_s,
         stage_latency={"ring": {"count": 3, "p99": ring_p99}},
-        cache={"conflicts": conflicts_rate},
         supervisor={"retries": retries, "resumed": False},
         quality={"snr_worst_db": snr, "signal_count": 16},
     )
@@ -81,13 +80,6 @@ class TestMineLedger:
         report = mine_ledger(records)
         assert report.flagged_runs == ["synth-2026-0007"]
         assert any(a.metric == "quality.snr_worst_db" and a.bad == "low"
-                   for a in report.regressions)
-
-    def test_cache_hit_rate_collapse_flags(self):
-        records = [_record(i, conflicts_rate=0.9 + 0.001 * i) for i in range(7)]
-        records.append(_record(7, conflicts_rate=0.05))
-        report = mine_ledger(records)
-        assert any(a.metric == "cache.conflicts.hit_rate"
                    for a in report.regressions)
 
     def test_supervisor_retry_spike_flags(self):

@@ -84,6 +84,11 @@ class TestRunRecord:
         clone = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert clone.to_dict() == record.to_dict()
 
+    def test_legacy_cache_section_is_ignored(self):
+        record = _record()
+        legacy = dict(record.to_dict(), cache={"conflicts": 0.5})
+        assert RunRecord.from_dict(legacy).to_dict() == record.to_dict()
+
     def test_deadline_gauges_are_the_fallback(self):
         reg = MetricsRegistry()
         reg.gauge("deadline.ring.elapsed_s").set(0.5)

@@ -32,7 +32,6 @@ def _base_record() -> RunRecord:
         wall_s=2.0,
         stage_latency={"ring": {"count": 1, "p50": 0.5, "p99": 0.8}},
         solver={"bb_nodes": 12},
-        cache={"conflicts": 0.9},
         supervisor={"retries": 2, "worker_restarts": 1, "circuit_open": False},
         quality={
             "wl_count": 8,
@@ -55,8 +54,6 @@ def _set_metric(record: RunRecord, name: str, value: float) -> None:
         record.wall_s = value
     elif parts[0] == "stage":
         record.stage_latency[parts[1]][parts[2][: -len("_s")]] = value
-    elif parts[0] == "cache":
-        record.cache[parts[1]] = value
     else:
         getattr(record, parts[0])[parts[1]] = value
 
@@ -90,7 +87,7 @@ TABLE = record_metrics(_base_record())
 
 def test_table_covers_every_category():
     assert {metric.category for metric in TABLE.values()} == {
-        "latency", "quality", "tail", "counter", "supervisor", "cache"
+        "latency", "quality", "tail", "counter", "supervisor"
     }
     assert "supervisor.circuit_open" not in TABLE
     assert "quality.signal_count" not in TABLE

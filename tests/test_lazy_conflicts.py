@@ -1,7 +1,8 @@
 """Equivalence battery: lazy conflict cuts versus the eager ring MILP.
 
-The cutting-plane loop (:func:`repro.core.ring._solve_ring_lazy`)
-builds constraint-(3) rows on demand instead of up front.  Because a
+The cutting-plane loop (:func:`repro.core.ring._solve_ring`) builds
+constraint-(3) rows on demand in lazy mode, and starts from every row
+in eager mode.  Because a
 conflict-free incumbent of the relaxed model is feasible for the full
 model, both modes must reach the *same optimal objective* — that, plus
 "every added cut is a row the eager model would have", is what this
@@ -11,6 +12,9 @@ module pins:
   the lazy tour selects no conflicting edge pair;
 - the cut rows added by the loop are a subset (by name) of the eager
   model's conflict rows, and their count matches the reported metric;
+- eager mode is the same loop seeded with every row: its
+  ``ring.conflict_constraints`` equals the full model's row count and
+  it reports no ``ring.lazy.*`` counter;
 - round counts stay within :data:`repro.core.ring.LAZY_MAX_ROUNDS`;
 - an exhausted :class:`~repro.robustness.deadline.Deadline` degrades
   (raises ``StageTimeout``/returns an incumbent) instead of hanging,
@@ -27,12 +31,13 @@ import pytest
 from repro.core.ring import (
     LAZY_MAX_ROUNDS,
     _build_ring_model,
-    _solve_ring_lazy,
+    _solve_ring,
     construct_ring_tour,
 )
 from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
 from repro.geometry import Point, build_edge_conflicts, conflicting_edge_pairs
 from repro.network import Network
+from repro.obs import NULL_TRACER, MetricsRegistry, ObsContext, use_obs
 from repro.robustness.deadline import Deadline
 from repro.robustness.errors import StageTimeout
 
@@ -77,8 +82,8 @@ class TestLazyEagerEquivalence:
     def test_cuts_are_subset_of_eager_rows(self, case):
         points = CASES[case]
         model = _build_ring_model(points, {})
-        _sol, _sel, timed_out, rounds, cuts_added = _solve_ring_lazy(
-            model, points, None, None, None
+        _sol, _sel, timed_out, rounds, cuts_added = _solve_ring(
+            model, points, None, None
         )
         assert not timed_out
         assert 1 <= rounds <= LAZY_MAX_ROUNDS
@@ -97,18 +102,20 @@ class TestLazyEagerEquivalence:
         # model carries (the relaxation binds on only a few).
         assert len(lazy_rows) <= len(eager_rows)
 
-    def test_precomputed_conflicts_reused_for_violation_checks(self):
-        # When the conflict dict is already known, the loop must use it
-        # (no geometry recompute) and still converge to the optimum.
-        points = CASES[2]
-        conflicts = build_edge_conflicts(points)
-        model = _build_ring_model(points, {})
-        sol, selected, timed_out, _rounds, _cuts = _solve_ring_lazy(
-            model, points, conflicts, None, None
+    @pytest.mark.parametrize("case", [2, 9])
+    def test_eager_is_the_loop_seeded_with_every_row(self, case):
+        points = CASES[case]
+        registry = MetricsRegistry()
+        with use_obs(ObsContext(tracer=NULL_TRACER, metrics=registry)):
+            construct_ring_tour(points, lazy=False)
+        counters = registry.snapshot()["counters"]
+        full = _build_ring_model(points, build_edge_conflicts(points))
+        rows = sum(
+            1 for c in full.constraints if c.name.startswith("conflict_")
         )
-        assert not timed_out
-        eager = construct_ring_tour(points, lazy=False)
-        assert sol.objective == pytest.approx(eager.length_mm, abs=1e-6)
+        assert rows > 0
+        assert counters["ring.conflict_constraints"] == rows
+        assert not [name for name in counters if name.startswith("ring.lazy.")]
 
 
 class TestBudgets:

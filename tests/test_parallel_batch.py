@@ -223,6 +223,27 @@ class TestStepTwoSharing:
         repaired = report.designs[0].report.stage("ring").status == "repaired"
         assert provided == (0 if repaired else 4)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_tour_honours_the_conflict_mode(self, network16, workers):
+        # Lazy and eager Step 1 reach equal-length psion-16 tours in a
+        # different order, so a parent that ignored lazy_conflicts
+        # would hand these cases the eager tour.
+        cases = [
+            BatchCase(
+                network=network16,
+                options=SynthesisOptions(
+                    lazy_conflicts=True, wl_budget=wl, label=f"lazy/{wl}"
+                ),
+                label=f"lazy/{wl}",
+            )
+            for wl in (8, 16)
+        ]
+        report = BatchSynthesizer(workers=workers).run(cases)
+        assert report.ok
+        for case, design in zip(cases, report.designs):
+            assert design.report.stage("ring").status == "provided"
+            assert design.to_dict() == _serial(case)
+
     def test_repaired_tour_drops_the_provided_plan(self, selection_calls):
         from tests.test_validate import heuristic_crossed_lattice14
 

@@ -9,7 +9,7 @@ produce the same tours — the same ``order``, ``edge_paths`` and
 - ``_choose_realizations`` on random tour orders, which push it
   through all three tiers (2-SAT, staircase backtracking, greedy);
 - ``_merge_two_cycles`` with a conflict dict and with bulk queries;
-- the heuristic ring's tour check, with and without a conflict dict;
+- the heuristic ring's tour check;
 - whole tours from ``construct_ring_tour`` (eager and lazy) and
   ``construct_ring_tour_heuristic`` on the property corpus and the
   adversarial layouts of ``tests/test_conflicts_bulk.py``.
@@ -108,7 +108,6 @@ class TestHeuristicTourCheck:
         want = conflicting_tour_edges(order, points)
         check = heuristic_ring._conflicting_edge_pairs
         assert check(order, points) == want
-        assert check(order, points, build_edge_conflicts(points)) == want
 
 
 def _tour_outcome(build, points):

@@ -322,7 +322,8 @@ class TestServiceWarmRestart:
 # ---------------------------------------------------------------------------
 #: The on-disk bytes of each log for one fixed input.  Logs already on
 #: disk must keep loading, so the reader must load these bytes and the
-#: writer must reproduce them.
+#: writer must reproduce them (``written_bytes`` below, where a
+#: retired field is no longer written).
 PARENT_JOBSTORE = (
     b'{"kind": "header", "version": 1}\n'
     b'{"attempts": 0, "created_unix": 1.0, "dedup_hits": 0, "degraded": false, '
@@ -349,6 +350,9 @@ PARENT_LEDGER = (
     b'"options_hash": "", "quality": {}, "run_id": "synth-0", "solver": {}, '
     b'"stage_latency": {}, "supervisor": {}, "version": 1, "wall_s": 1.5}\n'
 )
+#: The ledger line as written now: the retired ``cache`` section is
+#: gone, and the reader ignores it in older ledgers.
+LEDGER = PARENT_LEDGER.replace(b'{"cache": {}, ', b"{")
 PARENT_TIMESERIES = (
     b'{"counters": {"c": 0}, "gauges": {"g": 0.5}, '
     b'"histograms": {"h": {"sum": 0.25, "total": 1}}, "t": 0.0}\n'
@@ -356,7 +360,7 @@ PARENT_TIMESERIES = (
 
 
 class _JobStoreLog:
-    parent_bytes = PARENT_JOBSTORE
+    parent_bytes = written_bytes = PARENT_JOBSTORE
 
     def __init__(self, root):
         self.store = JobStore(root / "jobs")
@@ -379,7 +383,7 @@ class _JobStoreLog:
 
 
 class _JournalLog:
-    parent_bytes = PARENT_JOURNAL
+    parent_bytes = written_bytes = PARENT_JOURNAL
 
     def __init__(self, root):
         self.path = root / "batch.jsonl"
@@ -403,6 +407,7 @@ class _JournalLog:
 
 class _LedgerLog:
     parent_bytes = PARENT_LEDGER
+    written_bytes = LEDGER
 
     def __init__(self, root):
         self.ledger = RunLedger(root / "history")
@@ -425,7 +430,7 @@ class _LedgerLog:
 
 
 class _TimeSeriesLog:
-    parent_bytes = PARENT_TIMESERIES
+    parent_bytes = written_bytes = PARENT_TIMESERIES
 
     def __init__(self, root):
         self.path = root / "timeseries.jsonl"
@@ -524,7 +529,7 @@ class TestJsonlLogDurability:
         log.path.write_bytes(log.parent_bytes)
         expected = [
             json.loads(line)
-            for line in log.parent_bytes.decode("utf-8").splitlines()
+            for line in log.written_bytes.decode("utf-8").splitlines()
             if json.loads(line).get("kind") != "header"
         ]
         assert log.records() == expected
@@ -535,7 +540,7 @@ class TestJsonlLogDurability:
         # differently; every other byte must match.
         payload = re.compile(rb'"payload": "[^"]*"')
         assert payload.sub(b"", log.path.read_bytes()) == payload.sub(
-            b"", log.parent_bytes
+            b"", log.written_bytes
         )
 
 
@@ -576,7 +581,7 @@ class TestCanonicalDigests:
             extra={"cases": 1},
         )
         assert record.fingerprint == (
-            "cfe9aaa36dd8b5321281ed63e1469e4ece52b24da3e381fb0be70a4c8a2c8d16"
+            "ee37faa9f71cde586207044e6f42e35842e971291203216881320d7b849f6132"
         )
         assert record.options_hash == (
             "f34c5afb5d7a854889cb2a726a2b4139fbd6e67c6d55977803b3d205f3d1bbbd"
