@@ -11,17 +11,12 @@ Subcommands:
 - ``batch`` — run a JSON case file through the batch-synthesis engine
   (``--progress`` streams per-case JSONL events to stderr);
 - ``serve`` — run the resilient synthesis job service (HTTP + SSE,
-  crash-safe job store, graceful SIGTERM drain, burn-rate SLO alerts,
-  ``/federate`` fleet metrics);
-- ``top`` — live terminal view of a running service (health, firing
-  alerts, counter rates, latency percentiles, recent jobs);
+  crash-safe job store, graceful SIGTERM drain, OpenMetrics);
 - ``mine`` — robust median/MAD anomaly mining over the run ledger
   (exit 1 when a run was flagged; ``--promote`` writes
   fixture-candidate stubs);
-- ``cache`` — inspect/maintain a durable L2 cache (``--cache-dir`` /
-  ``--cache-nodes``): stats, anti-entropy scrub, size-bounded gc;
-- ``cache-node`` — run one sharded-cache node (a persistent
-  content-addressed store behind HTTP);
+- ``cache`` — inspect/maintain a durable L2 cache directory (as
+  passed to ``--cache-dir``): stats, integrity scrub, size-bounded gc;
 - ``regress`` — compare recent ledger runs against a baseline and exit
   nonzero on a perf/quality regression;
 - ``report`` — render ledger entries as a markdown/HTML report;
@@ -116,26 +111,15 @@ def _load_placement(path: str) -> Network:
     return Network.from_positions(points, traffic=pairs)
 
 
-def _split_nodes(text: str) -> list[str]:
-    """``"host:1,host:2"`` → node list (empty string → no nodes)."""
-    return [node.strip() for node in text.split(",") if node.strip()]
-
-
 def _attach_l2(args: argparse.Namespace) -> None:
-    """Attach the durable L2 cache when ``batch`` got ``--cache-dir`` /
-    ``--cache-nodes`` (``serve`` wires its own through
-    :class:`ServiceConfig`)."""
+    """Attach the durable L2 cache when ``batch`` got ``--cache-dir``
+    (``serve`` wires its own through :class:`ServiceConfig`)."""
     cache_dir = getattr(args, "cache_dir", "")
-    cache_nodes = _split_nodes(getattr(args, "cache_nodes", ""))
-    if not cache_dir and not cache_nodes:
+    if not cache_dir:
         return
     from repro.parallel.cache import configure_l2
 
-    configure_l2(
-        cache_dir,
-        cache_nodes,
-        replication=getattr(args, "cache_replication", 2),
-    )
+    configure_l2(cache_dir)
 
 
 def _start_profiler(args: argparse.Namespace):
@@ -474,8 +458,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the synthesis job service until SIGTERM/SIGINT.
 
     Binds the HTTP front end (``POST /jobs``, status, SSE progress,
-    design retrieval, stitched job traces, the live dashboard,
-    on-demand profiling, health/readiness, OpenMetrics), re-adopts any
+    design retrieval, stitched job traces, on-demand profiling,
+    health/readiness, OpenMetrics), re-adopts any
     jobs a previous server life left in the store, and drains
     gracefully on the first signal: admission stops, in-flight jobs
     get ``--drain-timeout`` to finish, the store is compacted, and the
@@ -499,14 +483,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         breaker_cooldown_s=args.breaker_cooldown,
         seed=args.seed,
         cache_dir=args.cache_dir,
-        cache_nodes=tuple(_split_nodes(args.cache_nodes)),
-        cache_replication=args.cache_replication,
-        scrape_interval_s=args.scrape_interval,
-        slo_availability=args.slo_availability,
-        slo_latency_p99_s=args.slo_latency_p99,
-        slo_window_s=args.slo_window,
-        slo_burn_threshold=args.slo_burn_threshold,
-        alert_log=args.alert_log,
     )
     # /metrics needs a real registry even when no --metrics/--trace-dir
     # flag forced one; reuse the session registry when it is real so
@@ -542,87 +518,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect and maintain a durable L2 cache.
+    """Inspect and maintain a durable L2 cache directory.
 
-    ``stats`` prints the backend's counters and footprint; ``scrub``
+    ``stats`` prints the store's counters and footprint; ``scrub``
     re-checksums every entry (quarantining corruption — exit 1 when
-    any was found — and, in sharded mode, re-replicating
-    under-replicated keys onto their live owners); ``gc`` LRU-evicts
-    down to ``--max-bytes`` (per node in sharded mode).
+    any was found); ``gc`` LRU-evicts down to ``--max-bytes``, which
+    it requires (``0`` empties the store).
     """
-    nodes = _split_nodes(args.nodes)
-    if bool(args.dir) == bool(nodes):
+    if args.action == "gc" and (args.max_bytes is None or args.max_bytes < 0):
         print(
-            "xring cache: pass exactly one of --dir or --nodes",
+            "xring cache: gc needs --max-bytes N with N >= 0 "
+            "(0 evicts every entry)",
             file=sys.stderr,
         )
         return 2
-    if nodes:
-        from repro.parallel.shard import ShardClient
+    from repro.parallel.store import PersistentStore
 
-        backend = ShardClient(nodes, replication=args.replication)
-    else:
-        from repro.parallel.store import PersistentStore
-
-        backend = PersistentStore(args.dir)
-        if backend.disabled:
-            print(
-                f"xring cache: store {args.dir!r} is unusable", file=sys.stderr
-            )
-            return 2
+    store = PersistentStore(args.dir)
+    if store.disabled:
+        print(f"xring cache: store {args.dir!r} is unusable", file=sys.stderr)
+        return 2
 
     if args.action == "stats":
-        print(json.dumps(backend.stats(), indent=2, sort_keys=True))
+        print(json.dumps(store.stats(), indent=2, sort_keys=True))
         return 0
 
     if args.action == "scrub":
-        report = (
-            backend.scrub(repair=not args.no_repair)
-            if nodes
-            else backend.verify()
-        )
+        report = store.verify()
         print(json.dumps(report, indent=2, sort_keys=True))
-        quarantined = int(report.get("quarantined", 0))
-        if quarantined:
+        if report["quarantined"]:
             print(
-                f"xring cache: scrub quarantined {quarantined} corrupt "
-                "entry(ies)",
+                f"xring cache: scrub quarantined {report['quarantined']} "
+                "corrupt entry(ies)",
                 file=sys.stderr,
             )
             return 1
         return 0
 
-    # gc
-    if nodes:
-        report = {}
-        for node in nodes:
-            try:
-                report[node] = backend.node_json(
-                    node, "POST", f"/gc?max_bytes={args.max_bytes}"
-                )
-            except OSError as exc:
-                report[node] = {"error": str(exc)}
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(json.dumps(backend.gc(args.max_bytes), indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_cache_node(args: argparse.Namespace) -> int:
-    """Run one sharded-cache node until SIGTERM/SIGINT.
-
-    A :class:`~repro.parallel.store.PersistentStore` over ``--dir``
-    behind the zero-dep HTTP plumbing; the resolved ``host:port`` is
-    published to ``<dir>/address`` (port 0 = ephemeral).
-    """
-    from repro.parallel.shard import serve_cache_node_forever
-
-    stats = serve_cache_node_forever(args.dir, args.host, args.port)
-    print(
-        f"xring cache-node: stopped ({stats.get('entries', 0)} entries, "
-        f"{stats.get('bytes', 0)} bytes on disk)",
-        file=sys.stderr,
-    )
+    print(json.dumps(store.gc(args.max_bytes), indent=2, sort_keys=True))
     return 0
 
 
@@ -768,26 +701,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live terminal view of a running service (``xring top``).
-
-    Resolves the base URL from ``--url`` or the ``<store>/address``
-    file a running server publishes, then renders
-    ``/dashboard/data`` + ``/alerts`` frames: health, firing alerts,
-    counter rates, latency percentiles, L2 cache traffic, recent
-    jobs.  ``--once`` prints a single frame (exit 1 when the service
-    is unreachable) — scriptable for smoke checks.
-    """
-    from repro.service.top import run_top
-
-    return run_top(
-        url=args.url,
-        store=args.store,
-        interval_s=args.interval,
-        once=args.once,
-    )
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -940,20 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable L2 cache: persistent content-addressed store in "
         "this directory (finished case results survive process "
         "restarts; corrupt entries are quarantined and recomputed)",
-    )
-    cachep.add_argument(
-        "--cache-nodes",
-        type=str,
-        default="",
-        help="durable L2 cache: comma-separated host:port 'xring "
-        "cache-node' addresses (sharded consistent-hash mode with "
-        "replica failover; mutually exclusive with --cache-dir)",
-    )
-    cachep.add_argument(
-        "--cache-replication",
-        type=int,
-        default=2,
-        help="replicas per entry with --cache-nodes (default 2)",
     )
 
     synth = sub.add_parser(
@@ -1184,53 +1083,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for jittered Retry-After and retry backoff",
     )
-    serve.add_argument(
-        "--scrape-interval",
-        type=float,
-        default=5.0,
-        help="seconds between registry snapshots fed to the in-process "
-        "time-series store and SLO engine (0 disables the loop)",
-    )
-    serve.add_argument(
-        "--slo-availability",
-        type=float,
-        default=0.9,
-        help="job-availability SLO objective (fraction of jobs that "
-        "must finish without failing)",
-    )
-    serve.add_argument(
-        "--slo-latency-p99",
-        type=float,
-        default=60.0,
-        help="job-latency SLO threshold in seconds (p99 of end-to-end "
-        "job latency must stay below this)",
-    )
-    serve.add_argument(
-        "--slo-window",
-        type=float,
-        default=60.0,
-        help="short burn-rate window in seconds (the long window is "
-        "6x this; alerts fire only when both windows burn)",
-    )
-    serve.add_argument(
-        "--slo-burn-threshold",
-        type=float,
-        default=6.0,
-        help="error-budget burn multiple that trips an alert",
-    )
-    serve.add_argument(
-        "--alert-log",
-        type=str,
-        default="",
-        help="append alert transitions (firing/resolved) as JSONL to "
-        "this file, in addition to stderr",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     cache = sub.add_parser(
         "cache",
-        help="inspect/maintain a durable L2 cache: stats, anti-entropy "
-        "scrub (exit 1 on corruption), size-bounded gc",
+        help="inspect/maintain a durable L2 cache directory: stats, "
+        "integrity scrub (exit 1 on corruption), size-bounded gc",
     )
     cache.add_argument(
         "action", choices=["stats", "scrub", "gc"], help="what to do"
@@ -1238,58 +1096,18 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--dir",
         type=str,
-        default="",
-        help="local store directory (as passed to --cache-dir)",
-    )
-    cache.add_argument(
-        "--nodes",
-        type=str,
-        default="",
-        help="comma-separated cache-node host:port addresses "
-        "(as passed to --cache-nodes)",
-    )
-    cache.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="replicas per entry when scrubbing a node ring",
-    )
-    cache.add_argument(
-        "--no-repair",
-        action="store_true",
-        help="scrub only: report under-replication without copying "
-        "entries back onto their owners",
+        required=True,
+        help="store directory (as passed to --cache-dir)",
     )
     cache.add_argument(
         "--max-bytes",
         type=int,
-        default=0,
-        help="gc target: evict least-recently-used entries until the "
-        "store holds at most this many bytes (per node with --nodes)",
+        default=None,
+        help="gc only, and required there: evict least-recently-used "
+        "entries until the store holds at most this many bytes "
+        "(0 evicts every entry)",
     )
     cache.set_defaults(func=_cmd_cache)
-
-    cache_node = sub.add_parser(
-        "cache-node",
-        help="run one sharded-cache node (PersistentStore behind HTTP)",
-    )
-    cache_node.add_argument(
-        "--dir",
-        type=str,
-        default=".xring_cache_node",
-        help="store directory (also receives the address file)",
-    )
-    cache_node.add_argument(
-        "--host", type=str, default="127.0.0.1", help="bind address"
-    )
-    cache_node.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (0 = ephemeral; resolved address lands in "
-        "<dir>/address)",
-    )
-    cache_node.set_defaults(func=_cmd_cache_node)
 
     regress = sub.add_parser(
         "regress",
@@ -1367,38 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=str, default="", help="write the report here (default stdout)"
     )
     report.set_defaults(func=_cmd_report)
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal view of a running service: health, firing "
-        "alerts, counter rates, latency percentiles, recent jobs",
-    )
-    top.add_argument(
-        "--url",
-        type=str,
-        default="",
-        help="service base URL (e.g. http://127.0.0.1:8787); wins over "
-        "--store",
-    )
-    top.add_argument(
-        "--store",
-        type=str,
-        default=".xring_service",
-        help="job-store directory; the base URL is read from its "
-        "address file (what a --port 0 server published)",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between frames",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="render one frame and exit (1 when unreachable)",
-    )
-    top.set_defaults(func=_cmd_top)
 
     mine = sub.add_parser(
         "mine",

@@ -28,12 +28,6 @@ flow actually did:
   speedscope export, per-stage attribution);
 - :mod:`repro.obs.traceview` — the ``xring trace`` renderer for
   ``trace.jsonl`` files;
-- :mod:`repro.obs.timeseries` — :class:`TimeSeriesStore`, the bounded
-  ring-buffer history of registry snapshots (multi-resolution
-  downsampling, windowed rates/quantiles, JSONL persistence);
-- :mod:`repro.obs.slo` — declarative :class:`SLO` objectives with
-  multi-window burn-rate alerting and hysteresis
-  (:class:`AlertEngine`, behind the service's ``/alerts``);
 - :mod:`repro.obs.judge` — the ledger judge behind ``xring regress``,
   ``xring mine`` and ``xring report``: one metric table, one
   :class:`Thresholds` config and one :class:`Verdict` type, reduced
@@ -86,8 +80,6 @@ from repro.obs.judge import (
     robust_zscore,
 )
 from repro.obs.openmetrics import (
-    merge_expositions,
-    parse_exposition,
     sanitize_metric_name,
     to_openmetrics,
 )
@@ -95,24 +87,14 @@ from repro.obs.profile import STAGE_FUNCTIONS, SamplingProfiler
 from repro.obs.propagate import (
     TraceContext,
     annotate_span_records,
-    current_request_id,
     current_trace,
     new_request_id,
     new_trace_id,
     parse_traceparent,
     spans_to_chrome,
     stitch_spans,
-    use_request_id,
     use_trace,
 )
-from repro.obs.slo import (
-    SLO,
-    AlertEngine,
-    default_service_slos,
-    file_sink,
-    stderr_sink,
-)
-from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, walk_tree
 
 __all__ = [
@@ -159,16 +141,6 @@ __all__ = [
     "robust_zscore",
     "sanitize_metric_name",
     "to_openmetrics",
-    "parse_exposition",
-    "merge_expositions",
-    "TimeSeriesStore",
-    "SLO",
-    "AlertEngine",
-    "default_service_slos",
-    "stderr_sink",
-    "file_sink",
-    "current_request_id",
-    "use_request_id",
     "ObsContext",
     "NULL_OBS",
     "get_obs",

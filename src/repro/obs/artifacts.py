@@ -22,8 +22,8 @@ truncated JSON behind — the reader sees either the previous complete
 file or the new complete file, nothing in between.
 
 The module also holds the repo's one append-only JSONL log primitive,
-shared by the job store, the batch journal, the run ledger and the
-time-series file: :func:`append_jsonl` appends whole lines, and
+shared by the job store, the batch journal and the run ledger:
+:func:`append_jsonl` appends whole lines, and
 :func:`read_jsonl` reads them back.  A crash mid-append can only leave
 a *torn tail* — bytes after the last newline.  The reader drops it
 with a warning, and the next append truncates it away before writing,

@@ -20,15 +20,6 @@ No exporter process is bundled — the CLI writes the exposition via
 ``--metrics --metrics-format openmetrics`` and ``--trace-dir`` drops a
 ``metrics.om`` artifact, both scrapeable by a node-exporter-style
 textfile collector.
-
-Federation (``GET /federate`` on the job service) goes the other way:
-:func:`parse_exposition` reads an exposition back into the snapshot
-shape (in exported-name space), and :func:`merge_expositions` folds
-several expositions — the service's own registry plus every scraped
-cache node — into one: counters and histogram buckets sum, gauges take
-the last value, and the merged document is rendered exactly once, so
-overlapping families cannot produce duplicate ``# TYPE`` lines or a
-second ``# EOF``.
 """
 
 from __future__ import annotations
@@ -139,191 +130,3 @@ def to_openmetrics(snapshot: dict[str, Any], prefix: str = DEFAULT_PREFIX) -> st
     out.append("# EOF")
     return "\n".join(out) + "\n"
 
-
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    if text == "NaN":
-        return math.nan
-    return float(text)
-
-
-#: One exposition sample line: name, optional {labels}, value.
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r" (?P<value>[^ ]+)$"
-)
-_LE_RE = re.compile(r'le="(?P<le>[^"]+)"')
-
-
-def parse_exposition(text: str) -> dict[str, Any]:
-    """Read an OpenMetrics exposition back into snapshot shape.
-
-    The result uses *exported* names (already sanitized and prefixed)
-    with the counter ``_total`` suffix stripped, so feeding it back
-    through :func:`to_openmetrics` with ``prefix=""`` round-trips.
-    Histogram cumulative buckets are un-cumulated into the per-bucket
-    ``counts`` list (overflow element included) that
-    :meth:`MetricsRegistry.snapshot` uses.  Samples without a ``# TYPE``
-    line parse as gauges; malformed lines are skipped, not fatal —
-    federation must tolerate a half-written scrape.
-    """
-    types: dict[str, str] = {}
-    scalars: dict[str, float] = {}
-    hist_buckets: dict[str, list[tuple[float, float]]] = {}
-    hist_scalars: dict[str, dict[str, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == "# EOF":
-            continue
-        if line.startswith("#"):
-            parts = line.split(" ")
-            if len(parts) == 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue  # HELP / UNIT / stray comments
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            continue
-        name = match.group("name")
-        try:
-            value = _parse_value(match.group("value"))
-        except ValueError:
-            continue
-        labels = match.group("labels") or ""
-        if name.endswith("_bucket"):
-            le_match = _LE_RE.search(labels)
-            if le_match:
-                try:
-                    edge = _parse_value(le_match.group("le"))
-                except ValueError:
-                    continue
-                hist_buckets.setdefault(name[: -len("_bucket")], []).append(
-                    (edge, value)
-                )
-                continue
-        if name.endswith("_count"):
-            hist_scalars.setdefault(name[: -len("_count")], {})["count"] = value
-        elif name.endswith("_sum"):
-            hist_scalars.setdefault(name[: -len("_sum")], {})["sum"] = value
-        scalars[name] = value
-
-    def _int_safe(value: float) -> int | float:
-        return int(value) if float(value).is_integer() else value
-
-    snapshot: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for family, kind in types.items():
-        if kind == "counter":
-            value = scalars.get(family + "_total")
-            if value is not None:
-                snapshot["counters"][family] = _int_safe(value)
-        elif kind == "histogram":
-            pairs = sorted(hist_buckets.get(family, []))
-            edges = [edge for edge, _ in pairs if not math.isinf(edge)]
-            cumulative = [count for edge, count in pairs if not math.isinf(edge)]
-            inf_total = next(
-                (count for edge, count in pairs if math.isinf(edge)),
-                cumulative[-1] if cumulative else 0.0,
-            )
-            counts: list[int] = []
-            previous = 0.0
-            for value in cumulative:
-                counts.append(int(max(0.0, value - previous)))
-                previous = value
-            counts.append(int(max(0.0, inf_total - previous)))  # overflow
-            extra = hist_scalars.get(family, {})
-            snapshot["histograms"][family] = {
-                "buckets": edges,
-                "counts": counts,
-                "total": int(extra.get("count", inf_total)),
-                "sum": extra.get("sum", 0.0),
-            }
-    consumed = set()
-    for family, kind in types.items():
-        if kind == "counter":
-            consumed.add(family + "_total")
-        elif kind == "histogram":
-            consumed.update((family + "_count", family + "_sum"))
-        elif kind == "gauge":
-            value = scalars.get(family)
-            if value is not None:
-                snapshot["gauges"][family] = value
-            consumed.add(family)
-    for name, value in scalars.items():
-        if name not in consumed and name not in snapshot["gauges"]:
-            snapshot["gauges"][name] = value  # untyped sample -> gauge
-    return snapshot
-
-
-def _observe_mean(data: dict[str, Any], total: int, value_sum: float) -> None:
-    """Fold ``total`` observations at their mean into ``data``'s buckets.
-
-    The mismatched-edge fallback, mirroring
-    :meth:`MetricsRegistry.merge_snapshot`: exact reconstruction is
-    impossible, so mass lands in the bucket containing the mean.
-    """
-    if total <= 0:
-        return
-    mean = value_sum / total
-    edges = data["buckets"]
-    index = len(edges)  # overflow by default
-    for i, edge in enumerate(edges):
-        if mean <= edge:
-            index = i
-            break
-    data["counts"][index] += total
-    data["total"] += total
-    data["sum"] += value_sum
-
-
-def merge_expositions(texts: list[str]) -> str:
-    """Merge several OpenMetrics expositions into one document.
-
-    Counters sum, gauges take the last exposition's value, histograms
-    with matching edges sum per-bucket counts (mismatched edges fall
-    back to re-observing the incoming mass at its mean).  Families
-    whose type conflicts across expositions keep the first-seen type;
-    conflicting incoming samples are dropped.  The merged document has
-    exactly one ``# TYPE`` line per family and one ``# EOF``.
-    """
-    merged: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def _kind_of(name: str) -> str | None:
-        for kind in ("counters", "gauges", "histograms"):
-            if name in merged[kind]:
-                return kind
-        return None
-
-    for text in texts:
-        snapshot = parse_exposition(text)
-        for name, value in snapshot["counters"].items():
-            if _kind_of(name) not in (None, "counters"):
-                continue
-            merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, value in snapshot["gauges"].items():
-            if _kind_of(name) not in (None, "gauges"):
-                continue
-            merged["gauges"][name] = value
-        for name, data in snapshot["histograms"].items():
-            kind = _kind_of(name)
-            if kind not in (None, "histograms"):
-                continue
-            existing = merged["histograms"].get(name)
-            if existing is None:
-                merged["histograms"][name] = {
-                    "buckets": list(data["buckets"]),
-                    "counts": list(data["counts"]),
-                    "total": data["total"],
-                    "sum": data["sum"],
-                }
-            elif existing["buckets"] == list(data["buckets"]):
-                existing["counts"] = [
-                    a + b for a, b in zip(existing["counts"], data["counts"])
-                ]
-                existing["total"] += data["total"]
-                existing["sum"] += data["sum"]
-            else:
-                _observe_mean(existing, data["total"], data["sum"])
-    return to_openmetrics(merged, prefix="")

@@ -55,8 +55,6 @@ __all__ = [
     "parse_traceparent",
     "current_trace",
     "use_trace",
-    "current_request_id",
-    "use_request_id",
     "annotate_span_records",
     "stitch_spans",
     "spans_to_chrome",
@@ -157,31 +155,6 @@ def use_trace(ctx: TraceContext) -> Iterator[TraceContext]:
         yield ctx
     finally:
         _current.reset(token)
-
-
-_current_rid: ContextVar[str] = ContextVar("repro_request_id", default="")
-
-
-def current_request_id() -> str:
-    """The ambient request id of this task/thread ("" when unset).
-
-    Outbound HTTP clients (the L2 :class:`~repro.parallel.shard.
-    ShardClient`) read this to stamp ``X-Request-Id`` on their calls,
-    so cache fetches are attributable to the originating job.  Like
-    the trace context it does not cross thread boundaries — the job
-    service sets it explicitly inside its solver thread.
-    """
-    return _current_rid.get()
-
-
-@contextmanager
-def use_request_id(request_id: str) -> Iterator[str]:
-    """Install ``request_id`` as the ambient request id for the block."""
-    token = _current_rid.set(request_id or "")
-    try:
-        yield request_id
-    finally:
-        _current_rid.reset(token)
 
 
 # -- span-record annotation and stitching ------------------------------------

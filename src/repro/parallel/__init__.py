@@ -3,9 +3,9 @@
 Four cooperating pieces:
 
 - :mod:`repro.parallel.cache` — :class:`SynthesisCache`, the
-  process-global holder of the durable L2 backend
-  (:mod:`repro.parallel.store` on local disk, :mod:`repro.parallel.shard`
-  across cache nodes), which keeps finished batch results;
+  process-global holder of the durable L2 backend (a
+  :mod:`repro.parallel.store` directory on local disk), which keeps
+  finished batch results;
 - :mod:`repro.parallel.supervisor` — :class:`WorkerSupervisor`, the
   self-healing worker pool: per-case watchdog timeouts (hung workers
   are killed and respawned), retry with exponential backoff + seeded
@@ -59,18 +59,7 @@ from repro.parallel.supervisor import (
     SupervisorStats,
     WorkerSupervisor,
 )
-
-# Imported last: repro.parallel.shard pulls in repro.service (for the
-# HTTP plumbing), which imports back into this package — by this point
-# every name the service layer needs is already bound above.
-from repro.parallel.store import PersistentStore  # noqa: E402
-from repro.parallel.shard import (  # noqa: E402
-    CacheNodeServer,
-    ShardClient,
-    ShardRing,
-    serve_cache_node,
-    serve_cache_node_forever,
-)
+from repro.parallel.store import PersistentStore
 
 __all__ = [
     "BatchCase",
@@ -101,9 +90,4 @@ __all__ = [
     "configure_l2",
     "get_cache",
     "PersistentStore",
-    "ShardRing",
-    "ShardClient",
-    "CacheNodeServer",
-    "serve_cache_node",
-    "serve_cache_node_forever",
 ]

@@ -126,12 +126,11 @@ class BatchError(SynthesisError):
 #
 # Finished cases are persisted to the attached L2 backend under their
 # journal ``case_key`` (which covers floorplan + every synthesis
-# option), so an identical batch on a fresh process — or a fresh host,
-# with a shard ring — restores results without re-solving, journal or
-# not.  Payloads are the journal's pickle+zlib encoding; the entry
-# meta carries the options hash and the design digest, and the digest
-# is re-verified after unpickling (defense in depth on top of the
-# store's payload checksum).
+# option), so an identical batch on a fresh process restores results
+# without re-solving, journal or not.  Payloads are the journal's
+# pickle+zlib encoding; the entry meta carries the options hash and the
+# design digest, and the digest is re-verified after unpickling
+# (defense in depth on top of the store's payload checksum).
 
 L2_RESULT_SECTION = "results"
 

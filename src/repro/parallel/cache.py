@@ -1,8 +1,7 @@
 """The process-global holder of the durable L2 cache.
 
 :class:`SynthesisCache` holds one optional L2 backend — a local
-:class:`~repro.parallel.store.PersistentStore` or a sharded
-:class:`~repro.parallel.shard.ShardClient` — behind
+:class:`~repro.parallel.store.PersistentStore` — behind
 :func:`get_cache`.  The L2 keeps finished batch results only
 (:mod:`repro.parallel.batch` reads and writes them, keyed on the
 case key); Step 1–2 reuse across cases goes through the batch
@@ -16,7 +15,10 @@ floorplan that batch grouping and Step-2 keys are built on.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from pathlib import Path
 from typing import Any
+
+from repro.parallel.store import PersistentStore
 
 
 def canonical_points(points: Sequence) -> tuple[tuple[float, float], ...]:
@@ -32,10 +34,8 @@ class SynthesisCache:
     """The process-global slot for the durable L2 backend."""
 
     def __init__(self) -> None:
-        #: Durable L2 backend (:class:`~repro.parallel.store.PersistentStore`
-        #: or :class:`~repro.parallel.shard.ShardClient`); ``None`` when
-        #: no L2 is configured.
-        self.l2: Any = None
+        #: Durable L2 backend; ``None`` when no L2 is configured.
+        self.l2: PersistentStore | None = None
 
     def attach_l2(self, backend: Any) -> None:
         """Install (or replace) the durable L2 behind this cache.
@@ -78,35 +78,11 @@ def clear_caches() -> None:
     _CACHE.clear()
 
 
-def configure_l2(
-    cache_dir: Any = "",
-    cache_nodes: Sequence[str] = (),
-    *,
-    replication: int = 2,
-    seed: int = 0,
-) -> Any:
-    """Build an L2 backend and attach it to the global cache.
-
-    ``cache_dir`` selects a local :class:`~repro.parallel.store.
-    PersistentStore`; ``cache_nodes`` (``host:port`` strings) selects a
-    sharded :class:`~repro.parallel.shard.ShardClient`.  With neither,
-    any attached L2 is detached.  Returns the backend (or ``None``).
-
-    Imports lazily: ``repro.parallel.shard`` pulls in the service HTTP
-    plumbing, which must not load at ``repro.parallel`` import time.
+def configure_l2(cache_dir: str | Path = "") -> PersistentStore | None:
+    """Attach a :class:`~repro.parallel.store.PersistentStore` at
+    ``cache_dir`` to the global cache, or detach any L2 when it is
+    empty.  Returns the store (or ``None``).
     """
-    if cache_dir and cache_nodes:
-        raise ValueError("cache_dir and cache_nodes are mutually exclusive")
-    backend: Any = None
-    if cache_nodes:
-        from repro.parallel.shard import ShardClient
-
-        backend = ShardClient(
-            list(cache_nodes), replication=replication, seed=seed
-        )
-    elif cache_dir:
-        from repro.parallel.store import PersistentStore
-
-        backend = PersistentStore(cache_dir)
+    backend = PersistentStore(cache_dir) if cache_dir else None
     _CACHE.attach_l2(backend)
     return backend

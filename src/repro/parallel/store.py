@@ -30,10 +30,10 @@ Failure semantics (the point of this module):
   WARNING and flips the store to a no-op: synthesis must
   never fail because the cache is sick.
 
-:meth:`verify` is the anti-entropy scrub primitive (re-checksum every
-entry, quarantine failures); :meth:`gc` is size-bounded LRU eviction
-(read hits touch mtime).  Both back the ``xring cache`` subcommands
-and the shard node's ``/scrub`` endpoint.
+:meth:`verify` is the integrity scrub (re-checksum every entry,
+quarantine failures); :meth:`gc` is size-bounded LRU eviction (read
+hits touch mtime).  Both back the ``xring cache scrub|gc``
+subcommands.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ class PersistentStore:
         return out
 
     def verify(self) -> dict[str, int]:
-        """Anti-entropy scrub: re-checksum every entry.
+        """Integrity scrub: re-checksum every entry.
 
         Corrupt entries are quarantined (counter + WARNING).  Returns
         ``{"checked": n, "quarantined": m, "bytes": total}``.
@@ -346,13 +346,6 @@ class PersistentStore:
         self._count("evicted", n=evicted)
         return {"evicted": evicted, "kept": len(entries) - evicted, "bytes": total}
 
-    def delete(self, section: str, key: str) -> bool:
-        try:
-            self.entry_path(section, key).unlink()
-            return True
-        except OSError:
-            return False
-
     def stats(self) -> dict[str, Any]:
         """Counters + on-disk footprint (cheap enough for /stats)."""
         files = self._entry_files()
@@ -388,8 +381,8 @@ def counter_metric_name(counter_key: str) -> str | None:
     name, _, section = counter_key.partition(":")
     if name in ("quarantined", "evicted"):
         return f"cache.store.{name}"
-    if name in ("failovers", "errors"):
-        return f"cache.l2.{name}"
+    if name == "errors":
+        return "cache.l2.errors"
     if section == "results" and name in ("hits", "misses", "puts"):
         return f"cache.l2.{name}"
     return None

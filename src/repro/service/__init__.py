@@ -14,11 +14,7 @@ machinery.  Four modules:
   execution with deadline degradation, circuit-breaker readiness,
   store re-adoption, and graceful drain;
 - :mod:`repro.service.server` — the routes and the
-  SIGTERM-to-clean-exit lifecycle behind ``xring serve`` (including
-  the fleet endpoints: ``/federate`` merged OpenMetrics, ``/alerts``
-  burn-rate SLO state, and the sparkline-backed dashboard);
-- :mod:`repro.service.top` — the ``xring top`` live terminal client
-  over ``/dashboard/data`` + ``/alerts``.
+  SIGTERM-to-clean-exit lifecycle behind ``xring serve``.
 """
 
 from repro.service.http import (
@@ -47,7 +43,6 @@ from repro.service.jobs import (
 from repro.service.server import (
     ADDRESS_FILENAME,
     ServiceServer,
-    parse_address,
     serve,
     serve_forever,
 )
@@ -62,7 +57,6 @@ from repro.service.store import (
     JobRecord,
     JobStore,
 )
-from repro.service.top import render_frame, resolve_base_url, run_top
 
 __all__ = [
     "ADDRESS_FILENAME",
@@ -94,11 +88,7 @@ __all__ = [
     "job_key",
     "network_from_spec",
     "options_from_spec",
-    "parse_address",
     "read_request",
-    "render_frame",
-    "resolve_base_url",
-    "run_top",
     "serve",
     "serve_forever",
 ]

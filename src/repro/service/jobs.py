@@ -73,7 +73,6 @@ from repro.obs import (
     canonical_json,
     get_logger,
     new_trace_id,
-    use_request_id,
 )
 from repro.parallel import (
     BatchCase,
@@ -82,6 +81,7 @@ from repro.parallel import (
     CircuitBreaker,
     SupervisorConfig,
     case_key,
+    configure_l2,
 )
 from repro.robustness.errors import ConfigurationError, InputError
 from repro.service.store import (
@@ -312,44 +312,8 @@ class ServiceConfig:
     #: Completed job results survive process restarts independently of
     #: the job store — a warm restart serves repeats from disk.
     cache_dir: str | Path = ""
-    #: Durable L2 cache: ``host:port`` cache nodes (sharded mode).
-    #: Mutually exclusive with ``cache_dir``.
-    cache_nodes: tuple[str, ...] = ()
-    #: Replicas per key when ``cache_nodes`` is used.
-    cache_replication: int = 2
-    #: Metrics time-series scrape cadence (0 disables history, SLO
-    #: evaluation and the dashboard sparklines).
-    scrape_interval_s: float = 5.0
-    #: Availability SLO objective (fraction of finished jobs that must
-    #: succeed); 0 disables the availability alert.
-    slo_availability: float = 0.9
-    #: Latency SLO: 99% of jobs must finish within this many seconds.
-    slo_latency_p99_s: float = 60.0
-    #: Short burn window for SLO evaluation (the long window is 6x);
-    #: also the hysteresis period a firing alert must stay healthy
-    #: before clearing.
-    slo_window_s: float = 60.0
-    #: Burn-rate threshold both windows must exceed to fire an alert.
-    slo_burn_threshold: float = 6.0
-    #: Append-only JSONL alert log ("" disables the file sink; alert
-    #: transitions always reach stderr as JSON lines).
-    alert_log: str | Path = ""
 
     def __post_init__(self) -> None:
-        if self.cache_dir and self.cache_nodes:
-            raise ConfigurationError(
-                "cache_dir and cache_nodes are mutually exclusive "
-                "(local-directory vs sharded L2)",
-                context={
-                    "cache_dir": str(self.cache_dir),
-                    "cache_nodes": list(self.cache_nodes),
-                },
-            )
-        if self.cache_replication < 1:
-            raise ConfigurationError(
-                f"cache_replication must be >= 1, got {self.cache_replication}",
-                context={"cache_replication": self.cache_replication},
-            )
         if self.queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}",
@@ -379,28 +343,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"breaker_cooldown_s must be >= 0, got {self.breaker_cooldown_s}",
                 context={"breaker_cooldown_s": self.breaker_cooldown_s},
-            )
-        if self.scrape_interval_s < 0:
-            raise ConfigurationError(
-                f"scrape_interval_s must be >= 0, got {self.scrape_interval_s}",
-                context={"scrape_interval_s": self.scrape_interval_s},
-            )
-        if not 0.0 <= self.slo_availability < 1.0:
-            raise ConfigurationError(
-                f"slo_availability must be in [0, 1), got "
-                f"{self.slo_availability}",
-                context={"slo_availability": self.slo_availability},
-            )
-        if self.slo_window_s <= 0:
-            raise ConfigurationError(
-                f"slo_window_s must be positive, got {self.slo_window_s}",
-                context={"slo_window_s": self.slo_window_s},
-            )
-        if self.slo_burn_threshold <= 0:
-            raise ConfigurationError(
-                f"slo_burn_threshold must be positive, got "
-                f"{self.slo_burn_threshold}",
-                context={"slo_burn_threshold": self.slo_burn_threshold},
             )
 
     def supervisor_config(self) -> SupervisorConfig:
@@ -505,17 +447,8 @@ class JobManager:
         as-is, ``adopted`` queued/running jobs re-enqueued).
         """
         self._loop = asyncio.get_running_loop()
-        if self.config.cache_dir or self.config.cache_nodes:
-            # Lazy: configure_l2 defers the shard/store imports, which
-            # must not load during repro.parallel package init.
-            from repro.parallel.cache import configure_l2
-
-            self._l2 = configure_l2(
-                self.config.cache_dir,
-                self.config.cache_nodes,
-                replication=self.config.cache_replication,
-                seed=self.config.seed,
-            )
+        if self.config.cache_dir:
+            self._l2 = configure_l2(self.config.cache_dir)
             _log.warning(
                 "durable L2 cache attached: %s",
                 self._l2.stats().get("backend", "?"),
@@ -899,11 +832,7 @@ class JobManager:
             fault_plan=self.fault_plan,
             on_event=lambda event: self._publish_threadsafe(job, event),
         )
-        # The ambient request id rides the whole solve on this daemon
-        # thread, so outbound L2 cache calls carry X-Request-Id and a
-        # cache fetch is attributable to the job that caused it.
-        with use_request_id(record.request_id or ""):
-            report = synthesizer.run([job.case])
+        report = synthesizer.run([job.case])
         result = report.results[0]
         # The batch join counts the job's L2 traffic (``cache.l2.*``,
         # ``cache.store.*``) on the report, not on the case snapshot

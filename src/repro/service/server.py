@@ -22,25 +22,8 @@ Routes (all JSON unless noted)::
                             circuit breaker is open)
     GET  /stats             service counters (JSON mirror of /metrics)
     GET  /metrics           OpenMetrics text exposition
-    GET  /federate          merged OpenMetrics: this registry plus a
-                            live scrape of every configured cache
-                            node's /metrics (one # TYPE per family,
-                            one # EOF; dead nodes are skipped and
-                            counted in X-Federate-Sources)
-    GET  /alerts            SLO state: firing alerts, every SLO's
-                            latest burn-rate evaluation, recent
-                            transitions
-    GET  /dashboard         live HTML dashboard (self-contained page)
-    GET  /dashboard/data    the JSON snapshot the dashboard polls
     POST /debug/profile     sample this process for ?seconds=N at
                             ?hz=H and return a speedscope profile
-
-Observability loop: every ``scrape_interval_s`` the server snapshots
-its registry into a bounded :class:`TimeSeriesStore` (ring buffers,
-multi-resolution downsampling, JSONL persisted to
-``<store_dir>/timeseries.jsonl``) and evaluates the configured SLOs
-with multi-window burn-rate alerting; transitions go to stderr as
-JSON lines and, with ``alert_log``, to an append-only file.
 
 Every response carries ``X-Request-Id`` — echoed from the caller's
 ``X-Request-Id`` header when present, minted otherwise — including
@@ -63,31 +46,21 @@ written to ``<store_dir>/address`` as one ``host:port`` line.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import time
 from typing import Any
 
-from pathlib import Path
-
 from repro.obs import (
-    AlertEngine,
     MetricsRegistry,
     SamplingProfiler,
-    TimeSeriesStore,
     atomic_write_text,
     canonical_json,
-    default_service_slos,
-    file_sink,
     get_logger,
-    merge_expositions,
     new_request_id,
     parse_traceparent,
-    stderr_sink,
     stitch_spans,
     to_openmetrics,
 )
-from repro.service.dashboard import dashboard_data, render_dashboard_html
 from repro.service.http import (
     HttpError,
     Request,
@@ -141,25 +114,6 @@ class ServiceServer:
         #: Loop-thread guard: at most one /debug/profile capture at a
         #: time (two samplers would double the overhead and interleave).
         self._profiling = False
-        #: Fleet observability: bounded metrics history + SLO engine,
-        #: fed by the scrape loop (disabled via scrape_interval_s=0).
-        self.timeseries = TimeSeriesStore(
-            persist_path=Path(config.store_dir) / "timeseries.jsonl",
-        )
-        sinks = [stderr_sink]
-        if config.alert_log:
-            sinks.append(file_sink(config.alert_log))
-        self.alerts = AlertEngine(
-            self.timeseries,
-            default_service_slos(
-                availability=config.slo_availability,
-                latency_p99_s=config.slo_latency_p99_s,
-                window_s=config.slo_window_s,
-                burn_threshold=config.slo_burn_threshold,
-            ),
-            sinks=sinks,
-        )
-        self._obs_task: asyncio.Task | None = None
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> dict[str, int]:
@@ -182,34 +136,12 @@ class ServiceServer:
             port,
             self.manager.store.directory,
         )
-        if self.config.scrape_interval_s > 0:
-            self._obs_task = asyncio.ensure_future(self._obs_loop())
         return adoption
-
-    async def _obs_loop(self) -> None:
-        """Scrape the registry into history and evaluate SLOs forever."""
-        interval = self.config.scrape_interval_s
-        # Sample at boot, before the first sleep: counters that move
-        # within the first interval must still show up as window deltas.
-        while True:
-            try:
-                self.timeseries.observe(self.metrics.snapshot())
-                self.alerts.evaluate()
-            except Exception:  # observability must never kill the loop
-                _log.warning("metrics scrape/SLO evaluation failed", exc_info=True)
-            await asyncio.sleep(interval)
 
     async def shutdown(self) -> dict[str, Any]:
         """Graceful drain: finish in-flight work, then stop listening."""
         _log.warning("drain requested; no longer admitting jobs")
         self.metrics.gauge("service.ready").set(0)
-        if self._obs_task is not None:
-            self._obs_task.cancel()
-            try:
-                await self._obs_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._obs_task = None
         stats = await self.manager.drain()
         if self._server is not None:
             self._server.close()
@@ -317,49 +249,9 @@ class ServiceServer:
                 self._rid_headers(rid),
             )
             return
-        if path == "/federate" and method == "GET":
-            await self._handle_federate(writer, rid)
-            return
-        if path == "/alerts" and method == "GET":
-            await send_json(
-                writer,
-                200,
-                {
-                    "alerts": self.alerts.active(),
-                    "slos": self.alerts.status(),
-                    "recent": self.alerts.recent(),
-                    "scrape_interval_s": self.config.scrape_interval_s,
-                    "scrapes": self.timeseries.scrapes,
-                },
-                self._rid_headers(rid),
-            )
-            return
         if path == "/stats" and method == "GET":
             await send_json(
                 writer, 200, self.manager.stats(), self._rid_headers(rid)
-            )
-            return
-        if path == "/dashboard" and method == "GET":
-            await send_response(
-                writer,
-                200,
-                render_dashboard_html().encode("utf-8"),
-                "text/html; charset=utf-8",
-                self._rid_headers(rid),
-            )
-            return
-        if path == "/dashboard/data" and method == "GET":
-            await send_json(
-                writer,
-                200,
-                dashboard_data(
-                    self.manager,
-                    self.metrics,
-                    self._started_unix,
-                    alerts=self.alerts,
-                    timeseries=self.timeseries,
-                ),
-                self._rid_headers(rid),
             )
             return
         if path == "/debug/profile" and method == "POST":
@@ -572,56 +464,6 @@ class ServiceServer:
             "from a previous server life, or the solve never started)",
         )
 
-    @staticmethod
-    def _scrape_node(node: str, timeout_s: float = 2.0) -> str | None:
-        """Blocking scrape of one cache node's /metrics (thread pool)."""
-        import http.client
-
-        host, _, port = node.rpartition(":")
-        try:
-            conn = http.client.HTTPConnection(
-                host, int(port), timeout=timeout_s
-            )
-            try:
-                conn.request("GET", "/metrics")
-                response = conn.getresponse()
-                if response.status != 200:
-                    return None
-                return response.read().decode("utf-8", "replace")
-            finally:
-                conn.close()
-        except (OSError, ValueError, http.client.HTTPException):
-            return None
-
-    async def _handle_federate(self, writer, rid: str) -> None:
-        """Merged OpenMetrics: this registry + every live cache node.
-
-        Nodes are scraped concurrently off-loop; a dead node is
-        skipped, never an error — a federated scrape must degrade, not
-        fail, when part of the fleet is down.  The merge sums counters
-        and histogram buckets across sources so the document stays
-        strict OpenMetrics (one ``# TYPE`` per family, one ``# EOF``).
-        """
-        texts = [to_openmetrics(self.metrics.snapshot())]
-        nodes = list(self.config.cache_nodes)
-        if nodes:
-            scraped = await asyncio.gather(
-                *(asyncio.to_thread(self._scrape_node, node) for node in nodes)
-            )
-            texts.extend(text for text in scraped if text)
-        merged = merge_expositions(texts)
-        self.metrics.counter("service.federate.scrapes").inc()
-        await send_response(
-            writer,
-            200,
-            merged.encode("utf-8"),
-            "application/openmetrics-text; version=1.0.0; charset=utf-8",
-            self._rid_headers(
-                rid,
-                {"X-Federate-Sources": f"{len(texts)}/{1 + len(nodes)}"},
-            ),
-        )
-
     async def _handle_profile(self, request: Request, writer, rid: str) -> None:
         """Sample this process and return a speedscope profile."""
         try:
@@ -702,18 +544,3 @@ def serve_forever(config: ServiceConfig, **kwargs: Any) -> dict[str, Any]:
     """Synchronous wrapper for the CLI: ``asyncio.run(serve(...))``."""
     return asyncio.run(serve(config, **kwargs))
 
-
-def parse_address(text: str) -> tuple[str, int]:
-    """Parse the ``<store_dir>/address`` file back into (host, port)."""
-    host, _, port = text.strip().rpartition(":")
-    return host, int(port)
-
-
-def job_payload(record_result: dict[str, Any]) -> bytes:
-    """Canonical bytes of a stored design (what ``/design`` serves)."""
-    return canonical_json(record_result["design"]).encode("utf-8")
-
-
-def render_stats(stats: dict[str, Any]) -> str:
-    """One human line for the CLI exit message."""
-    return json.dumps(stats, sort_keys=True, default=str)

@@ -11,8 +11,6 @@ import pytest
 from repro.cli import main
 from repro.parallel import clear_caches
 from repro.parallel.store import ENTRY_SUFFIX
-from repro.robustness import ConfigurationError
-from repro.service import ServiceConfig
 
 
 @pytest.fixture(autouse=True)
@@ -44,12 +42,11 @@ def _entries(root):
 
 
 class TestCacheCommand:
-    def test_requires_exactly_one_backend(self, capsys):
-        assert main(["cache", "stats"]) == 2
-        assert (
-            main(["cache", "stats", "--dir", "x", "--nodes", "h:1"]) == 2
-        )
-        assert "exactly one" in capsys.readouterr().err
+    def test_dir_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "stats"])
+        assert exc.value.code == 2
+        assert "--dir" in capsys.readouterr().err
 
     def test_stats_on_empty_store(self, tmp_path, capsys):
         assert main(["cache", "stats", "--dir", str(tmp_path / "l2")]) == 0
@@ -109,20 +106,32 @@ class TestCacheCommand:
         assert report["bytes"] == 0
         assert _entries(store) == []
 
+    @pytest.mark.parametrize("extra", [[], ["--max-bytes", "-1"]])
+    def test_gc_without_a_bound_keeps_the_store(self, tmp_path, capsys, extra):
+        cases = _write_cases(tmp_path)
+        store = tmp_path / "l2"
+        assert main(["batch", cases, "--cache-dir", str(store)]) == 0
+        before = _entries(store)
+        assert before
+        capsys.readouterr()
+        assert main(["cache", "gc", "--dir", str(store), *extra]) == 2
+        assert "--max-bytes" in capsys.readouterr().err
+        assert _entries(store) == before
 
-class TestConfigValidation:
-    def test_service_config_rejects_both_backends(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            ServiceConfig(
-                store_dir=tmp_path,
-                cache_dir=str(tmp_path / "l2"),
-                cache_nodes=("h:1",),
-            )
-        with pytest.raises(ConfigurationError, match="cache_replication"):
-            ServiceConfig(store_dir=tmp_path, cache_replication=0)
 
-    def test_configure_l2_rejects_both_backends(self, tmp_path):
-        from repro.parallel import configure_l2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--cache-nodes", "h:1"],
+        ["serve", "--scrape-interval", "1"],
+        ["cache", "stats", "--dir", "x", "--nodes", "h:1"],
+        ["cache-node"],
+        ["top"],
+    ],
+)
+def test_fleet_commands_and_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            configure_l2(str(tmp_path / "l2"), ("h:1",))

@@ -148,109 +148,3 @@ class TestPrefix:
         with pytest.raises(ValueError):
             to_openmetrics(reg.snapshot(), prefix="9bad")
 
-
-# ---------------------------------------------------------------------------
-# federation: parse + merge (what GET /federate serves)
-# ---------------------------------------------------------------------------
-def _exposition(pivots=42, latencies=(0.05, 0.5, 5.0)) -> str:
-    reg = MetricsRegistry()
-    reg.counter("milp.simplex.pivots").inc(pivots)
-    reg.gauge("queue.depth").set(float(pivots))
-    hist = reg.histogram("stage.ring.latency_s", (0.1, 1.0, 10.0))
-    for value in latencies:
-        hist.observe(value)
-    return to_openmetrics(reg.snapshot())
-
-
-class TestParseExposition:
-    def test_roundtrip_through_parse(self):
-        from repro.obs import parse_exposition
-
-        snapshot = parse_exposition(_exposition())
-        assert snapshot["counters"]["xring_milp_simplex_pivots"] == 42
-        assert snapshot["gauges"]["xring_queue_depth"] == 42.0
-        hist = snapshot["histograms"]["xring_stage_ring_latency_s"]
-        assert hist["total"] == 3
-        assert hist["counts"] == [1, 1, 1, 0]  # de-cumulated + overflow
-        assert hist["sum"] == pytest.approx(5.55)
-
-    def test_count_and_sum_never_leak_as_gauges(self):
-        from repro.obs import parse_exposition
-
-        snapshot = parse_exposition(_exposition())
-        for name in snapshot["gauges"]:
-            assert not name.endswith(("_count", "_sum", "_total"))
-
-
-class TestMergeExpositions:
-    """The /federate contract: overlapping families from N nodes merge
-    into one strictly-valid exposition — counters sum, histogram
-    buckets add bucket-wise, and the comment structure stays legal
-    (one # TYPE per family, exactly one # EOF)."""
-
-    def test_overlapping_counters_sum(self):
-        from repro.obs import merge_expositions
-
-        merged = merge_expositions([_exposition(10), _exposition(32)])
-        assert "xring_milp_simplex_pivots_total 42" in merged
-
-    def test_overlapping_histograms_merge_bucketwise(self):
-        from repro.obs import merge_expositions
-
-        merged = merge_expositions(
-            [_exposition(latencies=(0.05,)), _exposition(latencies=(5.0, 50.0))]
-        )
-        assert 'xring_stage_ring_latency_s_bucket{le="0.1"} 1' in merged
-        assert 'xring_stage_ring_latency_s_bucket{le="+Inf"} 3' in merged
-        assert "xring_stage_ring_latency_s_count 3" in merged
-        assert "xring_stage_ring_latency_s_sum 55.05" in merged
-
-    def test_gauges_are_last_wins(self):
-        from repro.obs import merge_expositions
-
-        merged = merge_expositions([_exposition(10), _exposition(99)])
-        assert "xring_queue_depth 99" in merged
-
-    def test_merged_output_stays_strictly_valid(self):
-        from repro.obs import merge_expositions
-
-        merged = merge_expositions([_exposition(1), _exposition(2)])
-        lines = merged.splitlines()
-        assert merged.count("# EOF") == 1 and lines[-1] == "# EOF"
-        for line in lines[:-1]:
-            assert _METRIC_LINE.match(line) or _COMMENT_LINE.match(line), line
-        # one # TYPE per family, no duplicates
-        types = [l.split()[2] for l in lines if l.startswith("# TYPE")]
-        assert len(types) == len(set(types))
-
-    def test_mismatched_histogram_edges_degrade_to_mean(self):
-        from repro.obs import merge_expositions, parse_exposition
-
-        reg = MetricsRegistry()
-        other = reg.histogram("stage.ring.latency_s", (0.25, 2.5))
-        other.observe(2.0)
-        merged = merge_expositions(
-            [_exposition(latencies=(0.5,)), to_openmetrics(reg.snapshot())]
-        )
-        snapshot = parse_exposition(merged)
-        hist = snapshot["histograms"]["xring_stage_ring_latency_s"]
-        assert hist["total"] == 2  # both observations survive
-        assert hist["sum"] == pytest.approx(2.5)
-
-    def test_cross_type_conflict_first_seen_wins(self):
-        from repro.obs import merge_expositions
-
-        reg = MetricsRegistry()
-        reg.gauge("milp.simplex.pivots").set(7.0)
-        merged = merge_expositions(
-            [_exposition(10), to_openmetrics(reg.snapshot())]
-        )
-        assert "xring_milp_simplex_pivots_total 10" in merged
-        assert "# TYPE xring_milp_simplex_pivots counter" in merged
-
-    def test_single_exposition_is_a_fixpoint(self):
-        from repro.obs import merge_expositions
-
-        once = merge_expositions([_exposition()])
-        twice = merge_expositions([once])
-        assert once == twice

@@ -1,10 +1,10 @@
-"""Service-layer observability: request ids, stitched traces,
-dashboard, and the on-demand profiler endpoint.
+"""Service-layer observability: request ids, stitched traces, and the
+on-demand profiler endpoint.
 
 One live server (``isolate_jobs`` + ``solver_workers=2``) solves one
-real job; everything else — header plumbing, error envelopes, the
-dashboard pair, ``/debug/profile`` validation — asserts against that
-same process to keep the suite at a single full solve.
+real job; everything else — header plumbing, error envelopes,
+``/debug/profile`` validation — asserts against that same process to
+keep the suite at a single full solve.
 """
 
 from __future__ import annotations
@@ -115,28 +115,6 @@ class TestStitchedTrace:
     def test_trace_of_unknown_job_is_404(self, live):
         status, _, _ = live.get_json("/jobs/nope/trace")
         assert status == 404
-
-
-class TestDashboard:
-    def test_dashboard_page_is_self_contained_html(self, live):
-        status, body, headers = live.get("/dashboard")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/html")
-        page = body.decode()
-        assert "xring service dashboard" in page
-        assert "/dashboard/data" in page  # the polling loop
-        assert "src=" not in page  # no external assets
-
-    def test_dashboard_data_snapshot(self, live, solved):
-        submit, _, _ = solved
-        status, data, _ = live.get_json("/dashboard/data")
-        assert status == 200
-        assert data["stats"]["done"] >= 1
-        jobs = {j["job_id"]: j for j in data["jobs"]}
-        assert jobs[submit["job_id"]]["state"] == "done"
-        assert jobs[submit["job_id"]]["request_id"] == "req-obstest00001"
-        hist = data["histograms"]["service.job_latency_s"]
-        assert hist["total"] >= 1 and hist["p50"] > 0
 
 
 class TestProfileEndpoint:

@@ -13,7 +13,7 @@ Four layers:
   store but the same ``cache_dir`` serves a repeated POST from the L2,
   which holds finished results only;
 - the shared torn-tail-safe JSONL log, one battery parametrized over
-  its four users (job store, batch journal, run ledger, time series):
+  its three users (job store, batch journal, run ledger):
   torn tails are dropped and never glue onto the next append, interior
   garbage raises, and the on-disk bytes match the earlier writers.
 """
@@ -28,7 +28,7 @@ import re
 import pytest
 
 from repro.core.synthesizer import SynthesisOptions
-from repro.obs import RunLedger, RunRecord, TimeSeriesStore, read_jsonl
+from repro.obs import RunLedger, RunRecord
 from repro.parallel import (
     BatchCase,
     BatchJournal,
@@ -177,12 +177,12 @@ class TestPersistentStore:
         assert counter_metric_name("puts:results") == "cache.l2.puts"
         assert counter_metric_name("quarantined") == "cache.store.quarantined"
         assert counter_metric_name("evicted") == "cache.store.evicted"
-        assert counter_metric_name("failovers") == "cache.l2.failovers"
         assert counter_metric_name("errors") == "cache.l2.errors"
         # Conflicts-section traffic is counted ambient-side in cache.py;
         # mapping it here would double-count on batch join.
         assert counter_metric_name("hits:conflicts") is None
         assert counter_metric_name("breaker_opens") is None
+        assert counter_metric_name("failovers") is None
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,6 @@ PARENT_LEDGER = (
 #: The ledger line as written now: the retired ``cache`` section is
 #: gone, and the reader ignores it in older ledgers.
 LEDGER = PARENT_LEDGER.replace(b'{"cache": {}, ', b"{")
-PARENT_TIMESERIES = (
-    b'{"counters": {"c": 0}, "gauges": {"g": 0.5}, '
-    b'"histograms": {"h": {"sum": 0.25, "total": 1}}, "t": 0.0}\n'
-)
 
 
 class _JobStoreLog:
@@ -429,31 +425,9 @@ class _LedgerLog:
         return [record.to_dict() for record in self.ledger.entries()]
 
 
-class _TimeSeriesLog:
-    parent_bytes = written_bytes = PARENT_TIMESERIES
-
-    def __init__(self, root):
-        self.path = root / "timeseries.jsonl"
-
-    def append(self, i):
-        store = TimeSeriesStore(capacity=4, persist_path=self.path)
-        histogram = {"total": 1, "sum": 0.25, "buckets": [1.0], "counts": [1, 0]}
-        store.observe(
-            {
-                "counters": {"c": i},
-                "gauges": {"g": 0.5},
-                "histograms": {"h": histogram},
-            },
-            now=float(i),
-        )
-
-    def records(self):
-        return read_jsonl(self.path)
-
-
 @pytest.fixture(
-    params=[_JobStoreLog, _JournalLog, _LedgerLog, _TimeSeriesLog],
-    ids=["jobstore", "journal", "ledger", "timeseries"],
+    params=[_JobStoreLog, _JournalLog, _LedgerLog],
+    ids=["jobstore", "journal", "ledger"],
 )
 def log(request, tmp_path):
     return request.param(tmp_path)
