@@ -60,6 +60,7 @@ from repro.obs import (
     configure_logging,
     quality_from_evaluation,
     read_jsonl,
+    span_records,
     to_openmetrics,
     use_obs,
 )
@@ -165,8 +166,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     attribution = _finish_profiler(profiler, args)
     if attribution and design.report is not None:
         design.report.profile = attribution
-    if args.trace_dir and design.report is not None:
-        RunArtifacts(args.trace_dir).write(report=design.report)
+    args._artifacts = {"report": design.report}
     circuit = design.to_circuit(ORING_LOSSES, NIKDAST_CROSSTALK)
     evaluation = evaluate_circuit(
         circuit, ORING_LOSSES, NIKDAST_CROSSTALK, with_power=not args.no_pdn
@@ -321,6 +321,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.resume and not os.path.isfile(args.resume):
+        # A typo here would silently rerun the whole batch from scratch.
+        print(
+            f"xring batch: --resume journal {args.resume!r} does not exist "
+            "(use --journal to start a new one)",
+            file=sys.stderr,
+        )
+        return 2
     with open(args.cases, encoding="utf-8") as handle:
         data = json.load(handle)
     specs = data["cases"] if isinstance(data, dict) else data
@@ -379,12 +387,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             signal.signal(signal.SIGTERM, previous_handler)
 
     attribution = _finish_profiler(profiler, args)
-    if args.trace_dir and report.span_records:
-        # The batch trace (per-case worker spans, stitched across
-        # processes) replaces the parent tracer's near-empty one.
-        for path in report.write_artifacts(args.trace_dir):
-            print(f"artifact written: {path}", file=sys.stderr)
-        args._trace_written = True
+    # The batch trace (per-case worker spans, stitched across processes)
+    # replaces the parent tracer's near-empty one.
+    args._artifacts = {"spans": report.span_records}
 
     args._history = {
         "label": f"batch-{os.path.basename(args.cases)}",
@@ -477,7 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         case_timeout_s=args.case_timeout,
         isolate_jobs=args.isolate,
-        solver_workers=args.solver_workers,
         default_deadline_s=args.default_deadline,
         drain_timeout_s=args.drain_timeout,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -531,6 +535,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "(0 evicts every entry)",
             file=sys.stderr,
         )
+        return 2
+    if not os.path.isdir(args.dir):
+        # PersistentStore would create it: a typo must not read as an
+        # empty store.
+        print(f"xring cache: no cache directory at {args.dir!r}", file=sys.stderr)
         return 2
     from repro.parallel.store import PersistentStore
 
@@ -983,8 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         type=str,
         default="",
-        help="resume from a checkpoint journal: restore finished cases "
-        "verbatim and run only the remainder (implies --journal <path>)",
+        help="resume from an existing checkpoint journal: restore finished "
+        "cases verbatim and run only the remainder (implies --journal "
+        "<path>)",
     )
     batch.add_argument(
         "--progress",
@@ -1050,13 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--case-timeout",
     )
     serve.add_argument(
-        "--solver-workers",
-        type=int,
-        default=1,
-        help="worker processes inside each job's supervised batch run "
-        "(only meaningful with --isolate/--case-timeout)",
-    )
-    serve.add_argument(
         "--default-deadline",
         type=float,
         default=None,
@@ -1097,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         type=str,
         required=True,
-        help="store directory (as passed to --cache-dir)",
+        help="existing store directory (as passed to --cache-dir)",
     )
     cache.add_argument(
         "--max-bytes",
@@ -1253,11 +1256,12 @@ def main(argv: list[str] | None = None) -> int:
     instead of dumping a traceback.
 
     ``--trace-dir`` turns tracing on and drops ``trace.jsonl`` (one
-    span per line), ``trace.json`` (Chrome ``trace_event`` — load in
-    about:tracing or https://ui.perfetto.dev), ``metrics.json`` and
-    ``metrics.om`` (OpenMetrics) into the directory; artifacts are
-    written even when the run fails, so a timed-out synthesis still
-    leaves its partial trace behind.
+    span record per line), ``trace.json`` (Chrome ``trace_event`` —
+    load in about:tracing or https://ui.perfetto.dev), ``metrics.json``
+    and ``metrics.om`` (OpenMetrics), plus ``report.json`` for
+    ``synth``, into the directory, once per run; artifacts are written
+    even when the run fails, so a timed-out synthesis still leaves its
+    partial trace behind.
 
     ``--history-dir`` appends a :class:`~repro.obs.history.RunRecord`
     to the cross-run ledger once the command completes (forcing a real
@@ -1294,12 +1298,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         if trace_dir:
-            # A command that wrote its own (richer, cross-process) trace
-            # keeps it; the ambient tracer would overwrite it with the
-            # parent process' near-empty span list.
-            own_trace = getattr(args, "_trace_written", False)
+            # A command hands back its own span records (batch: the
+            # stitched cross-process trace) and report in
+            # ``args._artifacts``; otherwise the ambient tracer's spans
+            # are the trace.
+            own = getattr(args, "_artifacts", {})
+            spans = own.get("spans")
             paths = RunArtifacts(trace_dir).write(
-                tracer=None if own_trace else tracer, metrics=registry
+                spans=span_records(tracer) if spans is None else spans,
+                metrics=registry,
+                report=own.get("report"),
             )
             for path in paths:
                 print(f"artifact written: {path}", file=sys.stderr)

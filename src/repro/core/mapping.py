@@ -111,12 +111,6 @@ def _passed_nodes(tour: RingTour, src: int, dst: int, direction: Direction) -> f
     return frozenset(tour.nodes_strictly_between(dst, src))
 
 
-def _arc_length(tour: RingTour, src: int, dst: int, direction: Direction) -> float:
-    if direction is Direction.CW:
-        return tour.cw_distance(src, dst)
-    return tour.ccw_distance(src, dst)
-
-
 class _Mapper:
     """Mutable state of the mapping/opening algorithm."""
 

@@ -13,7 +13,7 @@ waveguides legitimately meet there.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.geometry.conflicts_bulk import build_edge_conflicts_bulk
 from repro.geometry.path import RectilinearPath, l_routes
@@ -200,12 +200,3 @@ def conflict_free_realizations(
             if not paths_cross(r1, r2, ignore=shared):
                 pairs.append((r1, r2))
     return pairs
-
-
-def path_crossings_with_set(
-    path: RectilinearPath,
-    others: Iterable[RectilinearPath],
-    ignore: Sequence[Point] = (),
-) -> int:
-    """Total proper crossings between ``path`` and a set of paths."""
-    return sum(count_crossings(path, other, ignore) for other in others)

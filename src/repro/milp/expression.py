@@ -107,11 +107,6 @@ class LinExpr:
         """Return an independent copy of the expression."""
         return LinExpr(dict(self.coeffs), self.constant)
 
-    def add_term(self, var: Var, coeff: float) -> "LinExpr":
-        """In-place ``+= coeff * var``; returns self for chaining."""
-        self.coeffs[var.index] = self.coeffs.get(var.index, 0.0) + float(coeff)
-        return self
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other) -> "LinExpr":
         rhs = self._as_expr(other)

@@ -5,8 +5,7 @@ The ``repro.obs`` layer sits below everything else (even
 flow actually did:
 
 - :mod:`repro.obs.trace` — :class:`Tracer` with nested, thread-safe
-  spans and JSONL / Chrome ``trace_event`` export (open the latter in
-  ``about:tracing`` or Perfetto);
+  spans;
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms, fed by the solver hot loops
   (HiGHS B&B nodes, lazy-cut rounds, shortcut gain evaluations, ...);
@@ -20,9 +19,11 @@ flow actually did:
   :func:`read_jsonl` / :func:`append_jsonl` log, :func:`canonical_json`);
 - :mod:`repro.obs.logsetup` — the ``repro`` stdlib-logging hierarchy
   behind ``--log-level``;
-- :mod:`repro.obs.propagate` — cross-process trace propagation:
-  :class:`TraceContext`, span-uid stitching, and the Chrome export
-  with real pid/tid rows;
+- :mod:`repro.obs.propagate` — the one span-record format
+  (:func:`span_records`, :func:`synthetic_span_record`) and
+  cross-process trace propagation: :class:`TraceContext`, span-uid
+  stitching, and the Chrome export with real pid/tid rows (open it in
+  ``about:tracing`` or Perfetto);
 - :mod:`repro.obs.profile` — :class:`SamplingProfiler`, the zero-dep
   stack sampler behind ``--profile-dir`` (collapsed-stack and
   speedscope export, per-stage attribution);
@@ -86,31 +87,32 @@ from repro.obs.openmetrics import (
 from repro.obs.profile import STAGE_FUNCTIONS, SamplingProfiler
 from repro.obs.propagate import (
     TraceContext,
-    annotate_span_records,
     current_trace,
     new_request_id,
     new_trace_id,
     parse_traceparent,
+    span_records,
     spans_to_chrome,
     stitch_spans,
+    synthetic_span_record,
     use_trace,
 )
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, walk_tree
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "Span",
-    "walk_tree",
     "TraceContext",
-    "annotate_span_records",
     "current_trace",
     "new_request_id",
     "new_trace_id",
     "parse_traceparent",
+    "span_records",
     "spans_to_chrome",
     "stitch_spans",
+    "synthetic_span_record",
     "use_trace",
     "SamplingProfiler",
     "STAGE_FUNCTIONS",

@@ -3,9 +3,11 @@
 :class:`RunArtifacts` drops the full observability record of a run
 into a directory:
 
-- ``trace.jsonl`` — one closed span per line (greppable);
-- ``trace.json`` — the same spans in Chrome ``trace_event`` format,
-  loadable directly in ``about:tracing`` or https://ui.perfetto.dev;
+- ``trace.jsonl`` — one span record per line (greppable; the format
+  of :func:`repro.obs.propagate.span_records`);
+- ``trace.json`` — the same records in Chrome ``trace_event`` format
+  (:func:`~repro.obs.propagate.spans_to_chrome`), loadable directly
+  in ``about:tracing`` or https://ui.perfetto.dev;
 - ``metrics.json`` — the metrics-registry snapshot (counters, gauges,
   histograms with percentiles);
 - ``metrics.om`` — the same snapshot as an OpenMetrics text
@@ -41,7 +43,7 @@ from typing import Any
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import to_openmetrics
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.propagate import spans_to_chrome
 from repro.robustness.errors import ConfigurationError
 
 _log = get_logger("obs.artifacts")
@@ -177,27 +179,30 @@ class RunArtifacts:
     def write(
         self,
         *,
-        tracer: Tracer | NullTracer | None = None,
+        spans: list[dict[str, Any]] | None = None,
         metrics: MetricsRegistry | None = None,
         report: Any = None,
     ) -> list[Path]:
         """Write every supplied artifact; returns the paths written.
 
+        ``spans`` are span records (:func:`repro.obs.propagate.span_records`
+        and :func:`~repro.obs.propagate.synthetic_span_record`);
         ``report`` is anything with a ``to_dict()`` (normally a
         :class:`~repro.robustness.report.SynthesisReport`).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
-        if tracer is not None:
+        if spans is not None:
             written.append(
                 atomic_write_text(
-                    self.directory / self.TRACE_JSONL, tracer.to_jsonl()
+                    self.directory / self.TRACE_JSONL,
+                    "".join(json.dumps(record) + "\n" for record in spans),
                 )
             )
             written.append(
                 atomic_write_text(
                     self.directory / self.TRACE_CHROME,
-                    json.dumps(tracer.to_chrome()) + "\n",
+                    json.dumps(spans_to_chrome(spans)) + "\n",
                 )
             )
         if metrics is not None:

@@ -19,10 +19,13 @@ trace:
   id becomes ``"<prefix>:<span_id>"``; the supervisor hands every
   attempt a unique prefix (``c<index>.a<attempt>``), so retries of the
   same case stitch as *siblings* instead of colliding.
-- :func:`annotate_span_records` — stamps exported span dicts with
-  ``trace_id`` / ``pid`` / ``span_uid`` / ``parent_uid`` /
-  ``start_unix`` (wall-clock anchor, so cross-process timelines align
-  in Chrome's trace viewer).
+- **Span records** — the one span format every trace file and job
+  record carries.  :func:`span_records` turns a tracer's finished
+  spans into records stamped with ``trace_id`` / ``pid`` /
+  ``span_uid`` / ``parent_uid`` / ``start_unix`` (wall-clock anchor,
+  so cross-process timelines align in Chrome's trace viewer), and
+  :func:`synthetic_span_record` builds the coordination spans no
+  tracer records (``batch.attempt``, the service's ``job`` root).
 - :func:`stitch_spans` / :func:`spans_to_chrome` — fold annotated
   records from any number of processes into one tree summary (roots,
   orphans) and one Chrome ``trace_event`` object with proper pid/tid
@@ -41,12 +44,13 @@ into the solver thread.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
+
+from repro.obs.trace import NullTracer, Tracer
 
 __all__ = [
     "TraceContext",
@@ -55,7 +59,8 @@ __all__ = [
     "parse_traceparent",
     "current_trace",
     "use_trace",
-    "annotate_span_records",
+    "span_records",
+    "synthetic_span_record",
     "stitch_spans",
     "spans_to_chrome",
 ]
@@ -157,35 +162,83 @@ def use_trace(ctx: TraceContext) -> Iterator[TraceContext]:
         _current.reset(token)
 
 
-# -- span-record annotation and stitching ------------------------------------
-def annotate_span_records(
-    records: list[dict[str, Any]],
-    ctx: TraceContext,
+# -- span records and stitching ----------------------------------------------
+def span_records(
+    tracer: Tracer | NullTracer,
+    ctx: TraceContext | None = None,
     *,
-    pid: int | None = None,
-    epoch_unix: float | None = None,
+    case: str | None = None,
 ) -> list[dict[str, Any]]:
-    """Stamp exported span dicts with cross-process identity, in place.
+    """The finished spans of ``tracer`` as annotated span records.
 
-    Each record (``Span.to_dict()`` shape) gains ``trace_id``, ``pid``,
-    ``span_uid`` (``<prefix>:<span_id>``), ``parent_uid`` (the local
-    parent's uid, or ``ctx.parent_uid`` for local roots) and — when
-    ``epoch_unix`` is known — ``start_unix``, the wall-clock anchor
-    that lets records from different processes share one timeline.
+    Each record is ``Span.to_dict()`` plus ``case`` (when given),
+    ``trace_id``, ``pid``, ``span_uid`` (``<prefix>:<span_id>``),
+    ``parent_uid`` (the local parent's uid, or ``ctx.parent_uid`` for
+    local roots) and ``start_unix``, the wall-clock anchor that lets
+    records from different processes share one timeline.  Without a
+    ``ctx`` the records form a fresh trace of their own.
     """
-    pid = os.getpid() if pid is None else pid
+    if not tracer.enabled:
+        return []
+    if ctx is None:
+        ctx = TraceContext.new()
+    pid = os.getpid()
     prefix = ctx.prefix or f"p{pid}"
-    for record in records:
+    epoch_unix = tracer.epoch_unix
+    records = []
+    for span in tracer.finished_spans():
+        record = span.to_dict()
+        if case is not None:
+            record["case"] = case
         record["trace_id"] = ctx.trace_id
         record["pid"] = pid
-        record["span_uid"] = f"{prefix}:{record['span_id']}"
-        parent_id = record.get("parent_id")
+        record["span_uid"] = f"{prefix}:{span.span_id}"
         record["parent_uid"] = (
-            f"{prefix}:{parent_id}" if parent_id is not None else ctx.parent_uid
+            ctx.parent_uid
+            if span.parent_id is None
+            else f"{prefix}:{span.parent_id}"
         )
-        if epoch_unix is not None:
-            record["start_unix"] = epoch_unix + float(record.get("start_s", 0.0))
+        record["start_unix"] = epoch_unix + span.start_s
+        records.append(record)
     return records
+
+
+def synthetic_span_record(
+    name: str,
+    ctx: TraceContext,
+    uid: str,
+    *,
+    span_id: int,
+    start_s: float,
+    duration_s: float,
+    start_unix: float,
+    attributes: dict[str, Any],
+    case: str | None = None,
+    thread_id: int = 0,
+) -> dict[str, Any]:
+    """A span record for work no tracer recorded, in ``ctx``'s trace.
+
+    The record is a root of its process (``parent_id`` null) whose
+    ``parent_uid`` is ``ctx.parent_uid``; remote subtrees attach to it
+    through ``uid``.
+    """
+    record = {
+        "name": name,
+        "span_id": span_id,
+        "parent_id": None,
+        "thread_id": thread_id,
+        "start_s": start_s,
+        "duration_s": duration_s,
+        "attributes": attributes,
+    }
+    if case is not None:
+        record["case"] = case
+    record["trace_id"] = ctx.trace_id
+    record["pid"] = os.getpid()
+    record["span_uid"] = uid
+    record["parent_uid"] = ctx.parent_uid
+    record["start_unix"] = start_unix
+    return record
 
 
 def stitch_spans(records: list[dict[str, Any]]) -> dict[str, Any]:
@@ -201,9 +254,9 @@ def stitch_spans(records: list[dict[str, Any]]) -> dict[str, Any]:
 
     Records that were never annotated (no ``span_uid``) are tolerated:
     they fall back to their tracer-local ``span_id`` / ``parent_id``
-    (as ``?<id>`` uids), so a plain single-process ``trace.jsonl``
-    still stitches into its real tree instead of rendering every span
-    as a root.
+    (as ``?<id>`` uids), so a ``trace.jsonl`` written before every
+    trace file carried annotated records still stitches into its real
+    tree instead of rendering every span as a root.
     """
 
     def _uid(record: dict[str, Any], i: int) -> str:
@@ -245,11 +298,10 @@ def stitch_spans(records: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 def spans_to_chrome(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """Annotated span records -> Chrome ``trace_event`` JSON object.
+    """Span records -> Chrome ``trace_event`` JSON object.
 
-    Unlike :meth:`Tracer.to_chrome` (one process, one clock), this
-    export places every record on its real ``pid``/``tid`` row and
-    aligns cross-process timestamps on the ``start_unix`` wall-clock
+    Every record sits on its real ``pid``/``tid`` row, and
+    cross-process timestamps align on the ``start_unix`` wall-clock
     anchor when present (records without one fall back to their local
     monotonic offset).  ``process_name`` metadata events label each
     pid row, so Perfetto renders "worker pid N" lanes out of the box.
@@ -301,8 +353,3 @@ def spans_to_chrome(records: list[dict[str, Any]]) -> dict[str, Any]:
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def spans_to_jsonl(records: list[dict[str, Any]]) -> str:
-    """One JSON object per span record per line (the batch trace file)."""
-    return "".join(json.dumps(record) + "\n" for record in records)

@@ -1,16 +1,11 @@
-"""Hierarchical tracing with Chrome ``trace_event`` export.
+"""Hierarchical tracing.
 
 A :class:`Tracer` records a tree of :class:`Span` objects.  Spans are
 opened with a context manager, nest per thread (each thread keeps its
 own span stack), and carry free-form attributes.  Timing uses
-``time.monotonic`` so traces are immune to wall-clock jumps.
-
-Two export formats:
-
-- ``to_jsonl()`` — one JSON object per span per line (greppable,
-  streamable, the ``trace.jsonl`` run artifact);
-- ``to_chrome()`` — the Chrome ``trace_event`` JSON object that
-  ``about:tracing`` and https://ui.perfetto.dev load directly.
+``time.monotonic`` so traces are immune to wall-clock jumps.  Export
+goes through :func:`repro.obs.propagate.span_records`, which turns the
+finished spans into the one span-record format every trace file uses.
 
 When tracing is off the flow uses :data:`NULL_TRACER`, whose spans
 store nothing and take no lock; callers can branch on the single
@@ -21,10 +16,9 @@ have one source of truth whether or not a trace is being recorded.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 
 class Span:
@@ -73,7 +67,8 @@ class Span:
         self.attributes[key] = value
 
     def to_dict(self) -> dict[str, Any]:
-        """JSONL-ready dump of the closed span."""
+        """The tracer-local fields of a span record (see
+        :func:`repro.obs.propagate.span_records`)."""
         return {
             "name": self.name,
             "span_id": self.span_id,
@@ -172,48 +167,11 @@ class Tracer:
         span = self.current_span()
         return None if span is None else span.span_id
 
-    # -- introspection / export ----------------------------------------------
+    # -- introspection -------------------------------------------------------
     def finished_spans(self) -> list[Span]:
         """Closed spans in completion order (a copy)."""
         with self._lock:
             return list(self._finished)
-
-    def to_jsonl(self) -> str:
-        """One JSON object per closed span per line."""
-        return "".join(
-            json.dumps(span.to_dict()) + "\n" for span in self.finished_spans()
-        )
-
-    def chrome_events(self) -> list[dict[str, Any]]:
-        """Chrome ``trace_event`` complete ("X") events, one per span."""
-        import os
-
-        pid = os.getpid()
-        events = []
-        for span in self.finished_spans():
-            events.append(
-                {
-                    "name": span.name,
-                    "ph": "X",
-                    "ts": span.start_s * 1e6,  # microseconds
-                    "dur": span.duration_s * 1e6,
-                    "pid": pid,
-                    "tid": span.thread_id,
-                    "args": dict(
-                        span.attributes,
-                        span_id=span.span_id,
-                        parent_id=span.parent_id,
-                    ),
-                }
-            )
-        return events
-
-    def to_chrome(self) -> dict[str, Any]:
-        """The JSON object ``about:tracing`` / Perfetto load directly."""
-        return {
-            "traceEvents": self.chrome_events(),
-            "displayTimeUnit": "ms",
-        }
 
 
 class _NullSpan:
@@ -262,37 +220,6 @@ class NullTracer:
     def finished_spans(self) -> list[Span]:
         return []
 
-    def to_jsonl(self) -> str:
-        return ""
-
-    def chrome_events(self) -> list[dict[str, Any]]:
-        return []
-
-    def to_chrome(self) -> dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
 
 #: Shared no-op tracer (stateless, safe to reuse everywhere).
 NULL_TRACER = NullTracer()
-
-
-def walk_tree(spans: list[Span]) -> Iterator[tuple[int, Span]]:
-    """Yield ``(depth, span)`` in depth-first tree order.
-
-    Orphan spans (parent missing, e.g. still open at export time) are
-    treated as roots.
-    """
-    by_parent: dict[int | None, list[Span]] = {}
-    ids = {span.span_id for span in spans}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        by_parent.setdefault(parent, []).append(span)
-    for children in by_parent.values():
-        children.sort(key=lambda s: s.start_s)
-
-    def visit(parent: int | None, depth: int) -> Iterator[tuple[int, Span]]:
-        for span in by_parent.get(parent, []):
-            yield depth, span
-            yield from visit(span.span_id, depth + 1)
-
-    return visit(None, 0)

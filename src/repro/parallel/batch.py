@@ -68,16 +68,13 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     ObsContext,
-    RunArtifacts,
     TraceContext,
     Tracer,
-    annotate_span_records,
-    atomic_write_text,
     canonical_json,
     current_trace,
     get_logger,
     get_obs,
-    spans_to_chrome,
+    span_records,
     use_obs,
 )
 from repro.parallel.cache import canonical_points, get_cache
@@ -211,9 +208,9 @@ class BatchReport:
     workers: int
     total_elapsed_s: float
     metrics: MetricsRegistry
-    #: Per-span dicts from every traced case, each carrying a ``case``
-    #: attribute with the case label (plus parent-side
-    #: ``batch.attempt`` records when supervision retried anything).
+    #: Span records (:func:`repro.obs.span_records`) of the parent's
+    #: shared Step 1-2 work, of every traced case (each with its
+    #: ``case`` label) and of every supervised ``batch.attempt``.
     span_records: list[dict[str, Any]] = field(default_factory=list)
     #: ``get_cache().stats()`` at join: ``{"l2": ...}`` with an L2
     #: attached, else empty.
@@ -256,31 +253,6 @@ class BatchReport:
             "cache": self.cache_stats,
             "metrics": self.metrics.snapshot(),
         }
-
-    def write_artifacts(self, directory) -> list:
-        """Write ``metrics.json`` (+ ``trace.jsonl`` / ``trace.json`` when
-        spans were collected) into ``directory`` via
-        :class:`~repro.obs.RunArtifacts`.  The Chrome export stitches all
-        processes onto one timeline (supervisor + worker pid rows)."""
-        import json
-
-        paths = RunArtifacts(directory).write(metrics=self.metrics)
-        if self.span_records:
-            paths.append(
-                atomic_write_text(
-                    Path(directory) / "trace.jsonl",
-                    "".join(
-                        json.dumps(s) + "\n" for s in self.span_records
-                    ),
-                )
-            )
-            paths.append(
-                atomic_write_text(
-                    Path(directory) / "trace.json",
-                    json.dumps(spans_to_chrome(self.span_records)) + "\n",
-                )
-            )
-        return paths
 
 
 class BatchSynthesizer:
@@ -408,13 +380,9 @@ class BatchSynthesizer:
                     )
         records: list[dict[str, Any]] = []
         if self.collect_spans:
-            records = [span.to_dict() for span in tracer.finished_spans()]
-            if trace is not None:
-                annotate_span_records(
-                    records,
-                    trace.child(trace.parent_uid, prefix="share"),
-                    epoch_unix=tracer.epoch_unix,
-                )
+            records = span_records(
+                tracer, trace.child(trace.parent_uid, prefix="share")
+            )
         return shared, registry.snapshot(), records
 
     @staticmethod
@@ -620,11 +588,11 @@ class BatchSynthesizer:
         # The parent's shared Step 1-2 work, once for the whole batch.
         if share_metrics:
             merged.merge_snapshot(share_metrics)
-        span_records: list[dict[str, Any]] = list(share_spans or [])
+        spans: list[dict[str, Any]] = list(share_spans or [])
         for outcome in outcomes:
-            span_records.extend(outcome.metrics.pop("spans", []))
+            spans.extend(outcome.metrics.pop("spans", []))
             merged.merge_snapshot(outcome.metrics)
-        span_records.extend(stats.span_records)
+        spans.extend(stats.span_records)
         if l2 is not None:
             # Whole-result and store-health traffic this run generated,
             # as a counter delta (the backend object may be long-lived).
@@ -655,7 +623,7 @@ class BatchSynthesizer:
             workers=self.workers,
             total_elapsed_s=time.perf_counter() - start,
             metrics=merged,
-            span_records=span_records,
+            span_records=spans,
             cache_stats=get_cache().stats(),
             supervisor=stats.to_dict(),
             interrupted=stats.interrupted,

@@ -76,9 +76,10 @@ from repro.obs import (
     ObsContext,
     TraceContext,
     Tracer,
-    annotate_span_records,
     current_trace,
     get_logger,
+    span_records,
+    synthetic_span_record,
     use_obs,
 )
 from repro.robustness.errors import ConfigurationError, InputError
@@ -227,10 +228,11 @@ def _execute_case(
     method.  Every exception is captured into the result — workers
     never die on a case (only injected faults and real crashes do).
 
-    ``trace`` is the propagated request context: when set, exported
-    span records are annotated with the request's trace id and
-    globally-unique span uids, and the local roots point at the
-    dispatching attempt's uid (see :mod:`repro.obs.propagate`).
+    ``trace`` is the propagated request context: exported span records
+    carry the request's trace id and globally-unique span uids, and
+    the local roots point at the dispatching attempt's uid (see
+    :mod:`repro.obs.propagate`).  Without one the records form a
+    fresh trace.
     """
     start = time.perf_counter()
     registry = MetricsRegistry()
@@ -251,15 +253,7 @@ def _execute_case(
     result.elapsed_s = time.perf_counter() - start
     result.metrics = registry.snapshot()
     if collect_spans:
-        records = [
-            dict(span.to_dict(), case=result.label)
-            for span in tracer.finished_spans()
-        ]
-        if trace is not None:
-            annotate_span_records(
-                records, trace, epoch_unix=tracer.epoch_unix
-            )
-        result.metrics["spans"] = records
+        result.metrics["spans"] = span_records(tracer, trace, case=result.label)
     return result
 
 
@@ -313,9 +307,6 @@ class SupervisorConfig:
     #: batch runs (0 disables heartbeats; state-transition events are
     #: governed only by the ``on_event`` sink being set).
     heartbeat_interval_s: float = 0.0
-    #: Multiprocessing start method ("" = fork when available, else
-    #: spawn).  Workers are respawned under the same method.
-    mp_context: str = ""
     #: Run even a single-worker batch through the process pool instead
     #: of in-process.  The in-process path cannot preempt a truly hung
     #: case; the job service sets this when a watchdog timeout is
@@ -639,29 +630,25 @@ class WorkerSupervisor:
         if not self.collect_spans:
             return
         self._span_seq += 1
-        record = {
-            "name": "batch.attempt",
-            # Negative ids: parent-side records, disjoint from any
-            # worker tracer's positive span ids.
-            "span_id": -self._span_seq,
-            "parent_id": None,
-            "thread_id": 0,
-            "start_s": max(0.0, time.monotonic() - self._epoch - elapsed_s),
-            "duration_s": elapsed_s,
-            "attributes": {
-                "attempt": task.attempt,
-                "outcome": outcome,
-                "worker_pid": pid,
-            },
-            "case": task.label(),
-        }
-        if self.trace is not None:
-            record["trace_id"] = self.trace.trace_id
-            record["span_uid"] = self._attempt_uid(task)
-            record["parent_uid"] = self.trace.parent_uid
-            record["pid"] = os.getpid()
-            record["start_unix"] = time.time() - elapsed_s
-        self.stats.span_records.append(record)
+        self.stats.span_records.append(
+            synthetic_span_record(
+                "batch.attempt",
+                self.trace,
+                self._attempt_uid(task),
+                # Negative ids: parent-side records, disjoint from any
+                # worker tracer's positive span ids.
+                span_id=-self._span_seq,
+                start_s=max(0.0, time.monotonic() - self._epoch - elapsed_s),
+                duration_s=elapsed_s,
+                start_unix=time.time() - elapsed_s,
+                attributes={
+                    "attempt": task.attempt,
+                    "outcome": outcome,
+                    "worker_pid": pid,
+                },
+                case=task.label(),
+            )
+        )
 
     def _finish(self, task: _Task, result: BatchResult) -> None:
         """Move ``task`` to a terminal state and notify the journal."""
@@ -887,9 +874,8 @@ class WorkerSupervisor:
 
     # -- process pool --------------------------------------------------------
     def _context(self):
-        name = self.config.mp_context
-        if not name:
-            name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        """Fork when available, else spawn; respawned workers reuse it."""
+        name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         return mp.get_context(name)
 
     def _spawn_worker(self, ctx, worker_id: int) -> _Worker:

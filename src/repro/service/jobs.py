@@ -55,7 +55,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import math
-import os
 import random
 import threading
 import time
@@ -73,6 +72,7 @@ from repro.obs import (
     canonical_json,
     get_logger,
     new_trace_id,
+    synthetic_span_record,
 )
 from repro.parallel import (
     BatchCase,
@@ -288,10 +288,6 @@ class ServiceConfig:
     #: Run each job in a killable worker process even without a
     #: watchdog timeout (slower per job, immune to hung solvers).
     isolate_jobs: bool = False
-    #: Worker processes inside each job's supervised batch run.  A
-    #: single-case job only ever uses one, but >1 keeps a warm pool
-    #: across retries and exercises the cross-process trace stitch.
-    solver_workers: int = 1
     #: Deadline applied to jobs that do not bring their own.
     default_deadline_s: float | None = None
     #: Grace period for in-flight jobs on SIGTERM before giving up.
@@ -328,11 +324,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"retries must be >= 0, got {self.retries}",
                 context={"retries": self.retries},
-            )
-        if self.solver_workers < 1:
-            raise ConfigurationError(
-                f"solver_workers must be >= 1, got {self.solver_workers}",
-                context={"solver_workers": self.solver_workers},
             )
         if self.drain_timeout_s <= 0:
             raise ConfigurationError(
@@ -823,7 +814,6 @@ class JobManager:
         started_unix = time.time()
         started = time.perf_counter()
         synthesizer = BatchSynthesizer(
-            workers=self.config.solver_workers,
             on_error="collect",
             share_tours=False,
             config=self._sup_config,
@@ -841,25 +831,22 @@ class JobManager:
         for name, value in report.metrics.snapshot()["counters"].items():
             if name.startswith("cache."):
                 counters[name] = counters.get(name, 0) + value
-        root = {
-            "name": "job",
-            "span_id": 0,
-            "parent_id": None,
-            "thread_id": threading.get_ident(),
-            "start_s": 0.0,
-            "duration_s": time.perf_counter() - started,
-            "attributes": {
+        root = synthetic_span_record(
+            "job",
+            TraceContext(trace_id=trace.trace_id, parent_uid=job.trace_parent),
+            root_uid,
+            span_id=0,
+            start_s=0.0,
+            duration_s=time.perf_counter() - started,
+            start_unix=started_unix,
+            attributes={
                 "job_id": record.job_id,
                 "request_id": record.request_id,
                 "runs": record.runs,
             },
-            "case": record.label,
-            "trace_id": trace.trace_id,
-            "span_uid": root_uid,
-            "parent_uid": job.trace_parent,
-            "pid": os.getpid(),
-            "start_unix": started_unix,
-        }
+            case=record.label,
+            thread_id=threading.get_ident(),
+        )
         result.metrics["spans"] = [root] + list(report.span_records)
         return result
 

@@ -49,10 +49,24 @@ class TestCacheCommand:
         assert "--dir" in capsys.readouterr().err
 
     def test_stats_on_empty_store(self, tmp_path, capsys):
-        assert main(["cache", "stats", "--dir", str(tmp_path / "l2")]) == 0
+        store = tmp_path / "l2"
+        store.mkdir()
+        assert main(["cache", "stats", "--dir", str(store)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 0
         assert not stats["disabled"]
+
+    @pytest.mark.parametrize(
+        "extra", [["stats"], ["scrub"], ["gc", "--max-bytes", "0"]]
+    )
+    def test_missing_dir_is_refused(self, tmp_path, capsys, extra):
+        # A typo must not read as an empty store or create one.
+        missing = tmp_path / "nostore" / "typo"
+        assert main(["cache", extra[0], "--dir", str(missing)] + extra[1:]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "nostore").exists()
 
     def test_batch_cache_dir_round_trip(self, tmp_path, capsys):
         cases = _write_cases(tmp_path)

@@ -4,7 +4,8 @@ Locks in the fix for a silent-foot-gun: ``--journal A --resume B``
 used to quietly journal into ``B`` (the ``--resume`` path won), so
 checkpoints a user pointed at ``A`` never landed there.  Conflicting
 paths are now a hard usage error; agreeing paths (or either flag
-alone) keep working.
+alone) keep working.  ``--resume`` needs an existing journal, so a
+typo fails instead of rerunning the batch from scratch.
 
 Case files are parsed like ``POST /jobs`` bodies: a misspelled field is
 a usage error instead of a silently applied default, inline
@@ -85,6 +86,22 @@ def test_resume_alone_still_journals_to_the_resumed_path(
     # The resumed run restored the finished case instead of recomputing
     # it, and the journal still holds it.
     assert journal.read_text() == before
+
+
+def test_resume_from_a_missing_journal_is_a_usage_error(
+    case_file, tmp_path, capsys
+):
+    # A typo in --resume must not rerun the whole batch from scratch.
+    missing = tmp_path / "typo.jsonl"
+    rc = main(["batch", str(case_file), "--resume", str(missing)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert str(missing) in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
+    # --journal still starts a new journal at a fresh path.
+    assert main(["batch", str(case_file), "--journal", str(missing)]) == 0
+    assert missing.exists()
 
 
 def _write_cases(tmp_path, cases) -> str:

@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.obs) and its wiring.
 
-Covers the tracer (nesting, thread-safety, Chrome export round-trip),
+Covers the tracer (nesting, thread-safety, span-record and Chrome
+export round-trip),
 the metrics registry (bucket edges, overflow-free counter merges), the
 ambient context, run artifacts, logging setup, the synthesizer
 integration (span tree over all four stages, solver counters in the
@@ -34,8 +35,9 @@ from repro.obs import (
     configure_logging,
     get_logger,
     get_obs,
+    span_records,
+    spans_to_chrome,
     use_obs,
-    walk_tree,
 )
 
 
@@ -60,15 +62,6 @@ class TestTracer:
         assert sibling.parent_id == root.span_id
         ids = [s.span_id for s in tracer.finished_spans()]
         assert len(ids) == len(set(ids)) == 4
-
-    def test_walk_tree_depths(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
-                    pass
-        depths = {span.name: depth for depth, span in walk_tree(tracer.finished_spans())}
-        assert depths == {"a": 0, "b": 1, "c": 2}
 
     def test_span_measures_duration_and_attributes(self):
         tracer = Tracer()
@@ -124,25 +117,30 @@ class TestTracer:
         with tracer.span("stage", k=1):
             with tracer.span("sub"):
                 pass
-        payload = json.loads(json.dumps(tracer.to_chrome()))
+        payload = json.loads(json.dumps(spans_to_chrome(span_records(tracer))))
         assert payload["displayTimeUnit"] == "ms"
-        events = payload["traceEvents"]
+        events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert [e["name"] for e in events] == ["sub", "stage"]
         for event in events:
-            assert event["ph"] == "X"
             assert event["ts"] >= 0 and event["dur"] >= 0
         stage = events[1]
         assert stage["args"]["k"] == 1
-        assert events[0]["args"]["parent_id"] == stage["args"]["span_id"]
+        assert events[0]["args"]["parent_uid"] == stage["args"]["span_uid"]
 
-    def test_jsonl_export_one_object_per_line(self):
+    def test_jsonl_export_one_object_per_line(self, tmp_path):
         tracer = Tracer()
         with tracer.span("a"):
             pass
         with tracer.span("b"):
             pass
-        lines = tracer.to_jsonl().strip().splitlines()
-        assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
+        RunArtifacts(tmp_path).write(spans=span_records(tracer))
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["name"] for r in records] == ["a", "b"]
+        # two roots of one fresh trace, each with a wall-clock anchor
+        assert len({r["trace_id"] for r in records}) == 1
+        assert [r["parent_uid"] for r in records] == [None, None]
+        assert all(r["start_unix"] >= tracer.epoch_unix for r in records)
 
     def test_null_tracer_is_cheap_but_times(self):
         span_cm = NULL_TRACER.span("anything", attr=1)
@@ -150,7 +148,7 @@ class TestTracer:
             time.sleep(0.005)
         assert span.duration_s >= 0.005
         assert NULL_TRACER.finished_spans() == []
-        assert NULL_TRACER.to_chrome() == {"traceEvents": [], "displayTimeUnit": "ms"}
+        assert span_records(NULL_TRACER) == []
         assert not NullTracer.enabled
 
 
@@ -259,11 +257,14 @@ class TestArtifactsAndLogging:
             pass
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        paths = RunArtifacts(tmp_path / "run").write(tracer=tracer, metrics=reg)
+        records = span_records(tracer)
+        paths = RunArtifacts(tmp_path / "run").write(spans=records, metrics=reg)
         names = sorted(p.name for p in paths)
         assert names == ["metrics.json", "metrics.om", "trace.json", "trace.jsonl"]
         chrome = json.loads((tmp_path / "run" / "trace.json").read_text())
         assert chrome["traceEvents"][0]["name"] == "x"
+        lines = (tmp_path / "run" / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == records
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert metrics["counters"] == {"c": 1}
         exposition = (tmp_path / "run" / "metrics.om").read_text()
@@ -470,16 +471,19 @@ class TestChromeExportConsistency:
                 time.sleep(0.002)
             with tracer.span("child_b"):
                 pass
-        text = json.dumps(tracer.to_chrome())
+        records = span_records(tracer)
+        text = json.dumps(spans_to_chrome(records))
         payload = json.loads(text)  # valid JSON round-trip
-        events = payload["traceEvents"]
+        events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert len(events) == 3
-        spans = {s.span_id: s for s in tracer.finished_spans()}
+        spans = {r["span_uid"]: s for r, s in zip(records, tracer.finished_spans())}
+        t0 = min(s.start_s for s in spans.values())
         for event in events:
-            assert event["ph"] == "X"
-            span = spans[event["args"]["span_id"]]
-            # ts/dur are the span's start/duration in microseconds.
-            assert event["ts"] == pytest.approx(span.start_s * 1e6)
+            span = spans[event["args"]["span_uid"]]
+            # ts/dur are the span's start (from the earliest) and
+            # duration in microseconds; ts goes through the wall-clock
+            # anchor, whose float resolution is ~0.25 us.
+            assert event["ts"] == pytest.approx((span.start_s - t0) * 1e6, abs=1.0)
             assert event["dur"] == pytest.approx(span.duration_s * 1e6)
             assert event["ts"] >= 0 and event["dur"] >= 0
 
@@ -488,11 +492,13 @@ class TestChromeExportConsistency:
         with tracer.span("root"):
             with tracer.span("child"):
                 time.sleep(0.001)
-        events = {e["name"]: e for e in tracer.to_chrome()["traceEvents"]}
+        chrome = spans_to_chrome(span_records(tracer))
+        events = {e["name"]: e for e in chrome["traceEvents"] if e["ph"] == "X"}
         root, child = events["root"], events["child"]
-        assert child["args"]["parent_id"] == root["args"]["span_id"]
+        assert child["args"]["parent_uid"] == root["args"]["span_uid"]
         assert root["ts"] <= child["ts"]
-        assert child["ts"] + child["dur"] <= root["ts"] + root["dur"] + 1e-3
+        # 1 us slack: ts goes through the ~0.25 us wall-clock anchor
+        assert child["ts"] + child["dur"] <= root["ts"] + root["dur"] + 1.0
         # Monotonic consistency: a span never ends before it starts.
         for event in events.values():
             assert event["dur"] >= 0

@@ -1,8 +1,8 @@
 """Service-layer observability: request ids, stitched traces, and the
 on-demand profiler endpoint.
 
-One live server (``isolate_jobs`` + ``solver_workers=2``) solves one
-real job; everything else — header plumbing, error envelopes,
+One live server (``isolate_jobs``, so the solve crosses a process
+boundary) solves one real job; everything else — header plumbing, error envelopes,
 ``/debug/profile`` validation — asserts against that same process to
 keep the suite at a single full solve.
 """
@@ -25,7 +25,6 @@ def live(tmp_path_factory):
     server = LiveServer(
         tmp_path_factory.mktemp("obs_store"),
         isolate_jobs=True,
-        solver_workers=2,
     )
     yield server
     server.stop()

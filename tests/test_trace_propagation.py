@@ -9,16 +9,19 @@ must still stitch as siblings instead of dangling.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.synthesizer import SynthesisOptions
 from repro.obs import (
     TraceContext,
-    annotate_span_records,
+    Tracer,
     current_trace,
     new_request_id,
     new_trace_id,
     parse_traceparent,
+    span_records,
     spans_to_chrome,
     stitch_spans,
     use_trace,
@@ -117,49 +120,55 @@ class TestTraceContext:
 
 
 class TestAnnotateAndStitch:
+    def _tracer(self):
+        # one local tracer: root (id 1) with one child (id 2)
+        tracer = Tracer()
+        with tracer.span("root"):
+            with tracer.span("leaf"):
+                pass
+        return tracer
+
     def _records(self):
-        # one local tracer export: root (id 1) with one child (id 2)
-        return [
-            {"name": "root", "span_id": 1, "parent_id": None, "start_s": 0.0},
-            {"name": "leaf", "span_id": 2, "parent_id": 1, "start_s": 0.1},
-        ]
+        return [span.to_dict() for span in self._tracer().finished_spans()]
 
     def test_annotate_stamps_identity(self):
         ctx = TraceContext(trace_id="f" * 32, parent_uid="up:9", prefix="w1")
-        records = annotate_span_records(
-            self._records(), ctx, pid=42, epoch_unix=100.0
-        )
-        root, leaf = records
+        tracer = self._tracer()
+        tracer.epoch_unix = 100.0
+        leaf, root = span_records(tracer, ctx, case="c0")
         assert root["span_uid"] == "w1:1" and leaf["span_uid"] == "w1:2"
         assert root["parent_uid"] == "up:9"  # local root -> ctx parent
         assert leaf["parent_uid"] == "w1:1"  # local child -> local parent
-        assert all(r["trace_id"] == "f" * 32 and r["pid"] == 42 for r in records)
-        assert leaf["start_unix"] == pytest.approx(100.1)
+        assert all(
+            r["trace_id"] == "f" * 32 and r["pid"] == os.getpid()
+            and r["case"] == "c0"
+            for r in (root, leaf)
+        )
+        assert leaf["start_unix"] == pytest.approx(100.0 + leaf["start_s"])
 
     def test_stitch_detects_orphans(self):
         ctx = TraceContext(trace_id="a" * 32, parent_uid="gone:1", prefix="x")
-        records = annotate_span_records(self._records(), ctx)
-        stitched = stitch_spans(records)
+        stitched = stitch_spans(span_records(self._tracer(), ctx))
         # the root's parent names a span not in the set -> broken stitch
         assert stitched["orphans"] == ["x:1"]
         assert stitched["trace_id"] == "a" * 32
 
     def test_w3c_parent_is_not_an_orphan(self):
         ctx = TraceContext(trace_id="a" * 32, parent_uid="w3c:" + "b" * 16)
-        stitched = stitch_spans(annotate_span_records(self._records(), ctx))
+        stitched = stitch_spans(span_records(self._tracer(), ctx))
         assert stitched["orphans"] == []
         assert stitched["roots"] == []  # parented upstream, not a root
 
     def test_unannotated_records_stitch_via_local_ids(self):
+        # trace files written before records were annotated
         stitched = stitch_spans(self._records())
         assert stitched["orphans"] == []
         assert stitched["roots"] == ["?1"]
 
     def test_chrome_export_labels_pid_rows(self):
-        ctx = TraceContext.new()
-        records = annotate_span_records(
-            self._records(), ctx, pid=7, epoch_unix=50.0
-        )
+        records = span_records(self._tracer())
+        for record in records:
+            record["pid"] = 7
         records.append(
             {
                 "name": "batch.attempt",
@@ -168,7 +177,7 @@ class TestAnnotateAndStitch:
                 "pid": 3,
                 "span_uid": "sup3:c0.a1",
                 "parent_uid": None,
-                "start_unix": 49.5,
+                "start_unix": min(r["start_unix"] for r in records) - 0.5,
                 "duration_s": 1.0,
             }
         )
