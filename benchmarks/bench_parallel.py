@@ -10,19 +10,23 @@ study and the ablation sweep:
   up a single CPU — the ratio would only measure IPC overhead);
 - **Step 1-2 sharing** — the ablation sweep, whose four variants on
   one floorplan share one Step-1 tour built by the batch parent;
+- **stages** — psion syntheses at 8 and 16 nodes, per stage and per
+  Step-1 sub-layer (``ring.build_model``, ``conflicts.build``,
+  ``milp.solve``, ``ring.realizations``);
 - **profiler tax** — one representative synthesis bare vs under the
   sampling profiler (``overhead_frac`` must stay under the <5%
   promise the profiler tests gate).
 
-Each scaling phase and the ablation sweep run ``REPEATS`` times and
-report the median, the interquartile range and every sample.
+Each scaling phase and the ablation sweep run ``REPEATS`` times, each
+stage size ``STAGE_REPEATS`` times, and report the median, the
+interquartile range and every sample.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --quick
 
 The output JSON is the perf baseline later changes diff against: wall
-clock per phase, per-stage breakdown of a representative run, and
+clock per phase, per-stage and Step-1 sub-layer breakdowns, and
 speedups vs ``workers=1``.
 """
 
@@ -47,6 +51,16 @@ METHODS = ("milp", "heuristic")
 SHORTCUT_RUNS = 5
 #: Repeats of each scaling phase and of the ablation sweep.
 REPEATS = 3
+#: Floorplan sizes and repeats of the per-stage timing.
+STAGE_SIZES = (8, 16)
+STAGE_REPEATS = 7
+#: Step-1 spans reported under the ring stage.
+RING_LAYERS = (
+    "ring.build_model",
+    "conflicts.build",
+    "milp.solve",
+    "ring.realizations",
+)
 
 
 def _timed(fn, *args, **kwargs):
@@ -149,24 +163,53 @@ def bench_ablation(num_nodes: int) -> dict:
     }
 
 
-def bench_stages(num_nodes: int) -> dict:
-    """Per-stage wall clock of one representative cold synthesis."""
+def bench_stages(sizes: tuple[int, ...] = STAGE_SIZES) -> dict:
+    """Per-stage and Step-1 sub-layer wall clock of warm syntheses.
+
+    Each psion floorplan is synthesized once to warm imports, then
+    ``STAGE_REPEATS`` times under a real tracer; the ring stage's
+    sub-layers are the summed durations of its ``RING_LAYERS`` spans.
+    """
     from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
     from repro.network import Network
     from repro.network.placement import psion_placement
+    from repro.obs import MetricsRegistry, ObsContext, Tracer, use_obs
 
-    points, die = psion_placement(num_nodes)
-    network = Network.from_positions(points, die=die)
-    synth = XRingSynthesizer(network, SynthesisOptions(wl_budget=num_nodes))
-    design, elapsed = _timed(synth.run)
-    return {
-        "num_nodes": num_nodes,
-        "total_s": round(elapsed, 4),
-        "stage_elapsed_s": {
-            stage: round(seconds, 4)
-            for stage, seconds in design.report.stage_elapsed_s.items()
-        },
-    }
+    result = {}
+    for num_nodes in sizes:
+        points, die = psion_placement(num_nodes)
+        network = Network.from_positions(points, die=die)
+        options = SynthesisOptions(wl_budget=num_nodes)
+        XRingSynthesizer(network, options).run()
+        totals: list[float] = []
+        stages: dict[str, list[float]] = {}
+        layers: dict[str, list[float]] = {name: [] for name in RING_LAYERS}
+        for _ in range(STAGE_REPEATS):
+            tracer = Tracer()
+            with use_obs(ObsContext(tracer, MetricsRegistry())):
+                synth = XRingSynthesizer(network, options)
+                design, elapsed = _timed(synth.run)
+            totals.append(elapsed)
+            for stage, seconds in design.report.stage_elapsed_s.items():
+                stages.setdefault(stage, []).append(seconds)
+            spans = tracer.finished_spans()
+            for name, samples in layers.items():
+                samples.append(
+                    sum(span.duration_s for span in spans if span.name == name)
+                )
+        result[str(num_nodes)] = {
+            "num_nodes": num_nodes,
+            "repeats": STAGE_REPEATS,
+            "cpu_count": os.cpu_count(),
+            "total": _spread(totals),
+            "stage_elapsed_s": {
+                stage: _spread(samples) for stage, samples in stages.items()
+            },
+            "ring_layers_s": {
+                name: _spread(samples) for name, samples in layers.items()
+            },
+        }
+    return result
 
 
 def bench_profile(num_nodes: int) -> dict:
@@ -227,8 +270,7 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
     ``scalar_ref_nodes`` only — at 64 nodes the eager model (every
     constraint-(3) row materialized) takes upwards of ten minutes,
     which is precisely what the cutting-plane loop eliminates.  The
-    lazy wall clock is the headline figure: it must stay under the
-    eager N=32 synthesis time recorded by ``stages``.  The shortcut
+    lazy wall clock is the headline figure.  The shortcut
     stage, the largest share of that wall clock, is then re-run alone
     on the synthesized tour ``SHORTCUT_RUNS`` times and reported as
     median and interquartile range.
@@ -355,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "scaling": bench_scaling(sizes, args.workers),
         "ablation_sweep": bench_ablation(num_nodes=16),
-        "stages": bench_stages(num_nodes=16),
+        "stages": bench_stages(),
         "profile": bench_profile(num_nodes=16),
         "lazy_conflicts": bench_lazy_conflicts(
             num_nodes=64, scalar_ref_nodes=32
@@ -371,14 +413,18 @@ def main(argv: list[str] | None = None) -> int:
 
         scaling = payload["scaling"]
         clocks = scaling["wall_clock_s"]
+        stages16 = payload["stages"]["16"]
         record = RunRecord.build(
             "bench",
             "bench_parallel-quick" if args.quick else "bench_parallel",
             wall_s=sum(clocks.values())
             + payload["ablation_sweep"]["wall_clock_s"]
-            + payload["stages"]["total_s"],
+            + stages16["total"]["median_s"],
             stage_latency=stage_latency_from_elapsed(
-                payload["stages"]["stage_elapsed_s"]
+                {
+                    stage: spread["median_s"]
+                    for stage, spread in stages16["stage_elapsed_s"].items()
+                }
             ),
             extra={
                 "phase_wall_clock_s": dict(clocks),
@@ -430,6 +476,16 @@ def main(argv: list[str] | None = None) -> int:
         f"  ablation: {ablation['wall_clock_s']}s"
         f" (IQR {ablation['repeats']['iqr_s']}s)"
     )
+    for size, stage in payload["stages"].items():
+        layers = " ".join(
+            f"{name}={spread['median_s']}s"
+            for name, spread in stage["ring_layers_s"].items()
+        )
+        print(
+            f"  stages N={size}: total={stage['total']['median_s']}s"
+            f" (IQR {stage['total']['iqr_s']}s,"
+            f" {stage['repeats']} runs) | ring {layers}"
+        )
     profile = payload["profile"]
     print(
         f"  profiler: bare={profile['bare_s']}s"

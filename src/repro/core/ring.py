@@ -37,8 +37,7 @@ from repro.geometry import (
     edge_realizations,
     option_crossings,
 )
-from repro.milp import Model, SolveError, SolveStatus
-from repro.milp.expression import lin_sum
+from repro.milp import MatrixModel, SolveError, SolveStatus
 from repro.obs import get_obs
 from repro.robustness.deadline import Deadline
 from repro.robustness.errors import InputError, StageFailure, StageTimeout
@@ -437,7 +436,7 @@ def _raise_for_ring_solution(solution, n: int) -> None:
 
 
 def _solve_ring(
-    model: Model,
+    model: MatrixModel,
     points: list[Point],
     time_limit: float | None,
     deadline: Deadline | None,
@@ -466,7 +465,7 @@ def _solve_ring(
     from repro.geometry import conflicting_edge_pairs
 
     n = len(points)
-    b_vars = model._ring_edge_vars
+    edges = _ring_edges(n)
     start = time.perf_counter()
     added: set[frozenset[tuple[int, int]]] = set()
     rounds = 0
@@ -487,8 +486,8 @@ def _solve_ring(
         _raise_for_ring_solution(solution, n)
         selected = {
             edge
-            for edge, var in b_vars.items()
-            if solution.value(var, as_int=True) == 1
+            for edge, value in zip(edges, solution.values)
+            if round(value) == 1
         }
         if solution.status is SolveStatus.TIMEOUT:
             return solution, selected, True, rounds, len(added)
@@ -501,17 +500,8 @@ def _solve_ring(
         ]
         if not fresh or rounds >= LAZY_MAX_ROUNDS:
             return solution, selected, False, rounds, len(added)
-        for pair_a, pair_b in fresh:
-            added.add(frozenset((pair_a, pair_b)))
-            (i, j), (p, q) = pair_a, pair_b
-            model.add_constraint(
-                b_vars[(i, j)]
-                + b_vars[(j, i)]
-                + b_vars[(p, q)]
-                + b_vars[(q, p)]
-                <= 1,
-                name=f"conflict_{i}_{j}_{p}_{q}",
-            )
+        added.update(frozenset(pair) for pair in fresh)
+        model.add_rows(*_conflict_rows(n, fresh))
         last = (solution, selected)
 
 
@@ -550,7 +540,10 @@ def construct_ring_tour(
     with obs.tracer.span(
         "ring.build_model", nodes=n, mode="lazy" if lazy else "eager"
     ) as build_span:
-        conflicts = None if lazy else build_edge_conflicts(points)
+        conflicts = None
+        if not lazy:
+            with obs.tracer.span("conflicts.build"):
+                conflicts = build_edge_conflicts(points)
         model = _build_ring_model(points, conflicts or {})
         build_span.set_attribute("constraints", model.num_constraints)
 
@@ -560,10 +553,9 @@ def construct_ring_tour(
     if lazy:
         obs.metrics.counter("ring.lazy.rounds").inc(rounds)
         obs.metrics.counter("ring.lazy.cuts_added").inc(cuts_added)
-    conflict_constraints = sum(
-        1 for con in model.constraints if con.name.startswith("conflict_")
+    obs.metrics.counter("ring.conflict_constraints").inc(
+        model.num_constraints - _base_rows(n)
     )
-    obs.metrics.counter("ring.conflict_constraints").inc(conflict_constraints)
     with obs.tracer.span("ring.merge_cycles") as merge_span:
         cycles = _extract_cycles(selected, n)
         merge_span.set_attribute("sub_cycles", len(cycles))
@@ -617,63 +609,122 @@ def construct_ring_tour(
     return tour
 
 
+def _ring_edges(n: int) -> list[tuple[int, int]]:
+    """The directed edges ``(i, j)``, ``i != j``, in model column order."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def _base_rows(n: int) -> int:
+    """Rows of constraints (1)-(2): two degree rows per vertex, one
+    2-cycle row per node pair."""
+    return 2 * n + n * (n - 1) // 2
+
+
+def _column(n: int, i, j):
+    """Model column of directed edge ``(i, j)`` (scalars or arrays)."""
+    return i * (n - 1) + j - (j > i)
+
+
+def _conflict_rows(
+    n: int, pairs: list[tuple[tuple[int, int], tuple[int, int]]]
+) -> tuple:
+    """``MatrixModel.add_rows`` arguments for constraint-(3) rows.
+
+    Row ``k`` is ``b_ij + b_ji + b_pq + b_qp <= 1`` for
+    ``pairs[k] = ((i, j), (p, q))``, named ``conflict_i_j_p_q``.
+    """
+    ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 4)
+    i, j, p, q = ends.T
+    cols = np.stack(
+        [
+            _column(n, i, j),
+            _column(n, j, i),
+            _column(n, p, q),
+            _column(n, q, p),
+        ],
+        axis=1,
+    ).ravel()
+    rows = np.repeat(np.arange(len(pairs)), 4)
+    names = [f"conflict_{i}_{j}_{p}_{q}" for (i, j), (p, q) in pairs]
+    return (
+        rows,
+        cols,
+        np.ones(cols.shape[0]),
+        np.full(len(pairs), -np.inf),
+        np.ones(len(pairs)),
+        names,
+    )
+
+
 def _build_ring_model(
     points: list[Point],
     conflicts: dict[tuple[int, int], set[tuple[int, int]]],
-) -> Model:
+) -> MatrixModel:
     """Assemble the Step-1 MILP (constraints (1)-(3), objective (4)).
 
-    The edge-selection variables are stashed on the model as
-    ``_ring_edge_vars`` so the caller can decode the solution.
+    Written straight into arrays: column ``_column(n, i, j)`` is the
+    binary ``b_i_j`` of directed edge ``(i, j)`` (row-major, diagonal
+    skipped), and the rows come in the order ``out_i``/``in_i`` per
+    vertex, ``two_cycle_i_j`` per pair, then the conflict rows in
+    ``conflicts`` iteration order (each unordered pair once).
     """
     n = len(points)
-    model = Model("xring-step1")
-    b_vars: dict[tuple[int, int], object] = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b_vars[(i, j)] = model.binary_var(f"b_{i}_{j}")
+    names = _ring_edges(n)
+    src, dst = np.array(names, dtype=np.intp).reshape(-1, 2).T
+    xs = np.array([p.x for p in points], dtype=np.float64)
+    ys = np.array([p.y for p in points], dtype=np.float64)
+    m = src.shape[0]
+    model = MatrixModel(
+        "xring-step1",
+        # (4) minimize total Manhattan length.
+        c=np.abs(xs[src] - xs[dst]) + np.abs(ys[src] - ys[dst]),
+        lb=np.zeros(m),
+        ub=np.ones(m),
+        integrality=np.ones(m, dtype=np.uint8),
+        var_names=[f"b_{i}_{j}" for i, j in names],
+    )
 
-    # (1) every vertex has exactly one incoming and one outgoing edge.
-    for i in range(n):
-        model.add_constraint(
-            lin_sum(b_vars[(i, j)] for j in range(n) if j != i) == 1,
-            name=f"out_{i}",
-        )
-        model.add_constraint(
-            lin_sum(b_vars[(j, i)] for j in range(n) if j != i) == 1,
-            name=f"in_{i}",
-        )
-
-    # (2) no 2-cycles.
-    for i in range(n):
-        for j in range(i + 1, n):
-            model.add_constraint(
-                b_vars[(i, j)] + b_vars[(j, i)] <= 1, name=f"two_cycle_{i}_{j}"
-            )
+    # (1) every vertex has exactly one incoming and one outgoing edge:
+    # row 2i sums b_i_j (columns i(n-1) .. i(n-1)+n-2), row 2i+1 sums
+    # b_j_i, over j != i ascending.
+    degree_cols = np.stack(
+        [np.arange(m), _column(n, dst, src)], axis=1
+    ).reshape(n, n - 1, 2)
+    # (2) no 2-cycles: b_ij + b_ji <= 1 per pair i < j.
+    upper_i, upper_j = np.triu_indices(n, k=1)
+    cycle_cols = np.stack(
+        [_column(n, upper_i, upper_j), _column(n, upper_j, upper_i)], axis=1
+    )
+    pairs = upper_i.shape[0]
+    model.add_rows(
+        np.concatenate(
+            [
+                np.repeat(np.arange(2 * n), n - 1),
+                np.repeat(np.arange(2 * n, 2 * n + pairs), 2),
+            ]
+        ),
+        np.concatenate(
+            [degree_cols.transpose(0, 2, 1).ravel(), cycle_cols.ravel()]
+        ),
+        np.ones(2 * m + 2 * pairs),
+        np.concatenate([np.ones(2 * n), np.full(pairs, -np.inf)]),
+        np.ones(2 * n + pairs),
+        [name for i in range(n) for name in (f"out_{i}", f"in_{i}")]
+        + [
+            f"two_cycle_{i}_{j}"
+            for i, j in zip(upper_i.tolist(), upper_j.tolist())
+        ],
+    )
 
     # (3) conflicting pairs cannot both be selected (in any direction).
     added: set[frozenset[tuple[int, int]]] = set()
+    conflict_pairs = []
     for pair, conflicting in conflicts.items():
         for other in conflicting:
             key = frozenset((pair, other))
-            if key in added:
-                continue
-            added.add(key)
-            (i, j), (p, q) = pair, other
-            model.add_constraint(
-                b_vars[(i, j)]
-                + b_vars[(j, i)]
-                + b_vars[(p, q)]
-                + b_vars[(q, p)]
-                <= 1,
-                name=f"conflict_{i}_{j}_{p}_{q}",
-            )
-
-    # (4) minimize total Manhattan length.
-    objective = lin_sum(
-        var * points[i].manhattan(points[j]) for (i, j), var in b_vars.items()
-    )
-    model.minimize(objective)
-    model._ring_edge_vars = b_vars
+            if key not in added:
+                added.add(key)
+                conflict_pairs.append((pair, other))
+    if conflict_pairs:
+        model.add_rows(*_conflict_rows(n, conflict_pairs))
     return model

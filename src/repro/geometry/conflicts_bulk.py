@@ -38,9 +38,13 @@ import numpy as np
 
 from repro.geometry.point import EPS, Point
 
-#: Candidate edge pairs processed per kernel batch, bounding peak
-#: temporary-array memory (~30 float64/bool arrays of this length).
-_BATCH = 131_072
+#: Rows per kernel array pass: candidate edge pairs per batch and
+#: segment pairs per :func:`_segments_illegal` call.  Bounds peak
+#: temporary-array memory (~50 float64/bool arrays of this length)
+#: and keeps a call's temporaries in a core's L2 cache: at 16k rows
+#: and more the per-row cost of ``_segments_illegal`` measured 1.5-5x
+#: that at 4k rows (2-vCPU x86 host, 4 MiB L2).
+_BATCH = 4096
 
 #: Bounding-box prefilter margin.  Every realization of an edge lies in
 #: the edge's endpoint bounding box, and every illegal interaction
@@ -126,19 +130,22 @@ def _segments_illegal(
     # Perpendicular: intersection candidate (v.fixed, h.fixed) must lie
     # in both ranges; CROSS and TOUCH are equally illegal unless the
     # point is an ignored shared terminal.
-    hx_lo = np.where(h1, np.minimum(p1x, q1x), np.minimum(p2x, q2x))
-    hx_hi = np.where(h1, np.maximum(p1x, q1x), np.maximum(p2x, q2x))
+    x1_lo, x1_hi = np.minimum(p1x, q1x), np.maximum(p1x, q1x)
+    y1_lo, y1_hi = np.minimum(p1y, q1y), np.maximum(p1y, q1y)
+    x2_lo, x2_hi = np.minimum(p2x, q2x), np.maximum(p2x, q2x)
+    y2_lo, y2_hi = np.minimum(p2y, q2y), np.maximum(p2y, q2y)
+    hx_lo = np.where(h1, x1_lo, x2_lo)
+    hx_hi = np.where(h1, x1_hi, x2_hi)
     hy = np.where(h1, p1y, p2y)
     vx = np.where(h1, p2x, p1x)
-    vy_lo = np.where(h1, np.minimum(p2y, q2y), np.minimum(p1y, q1y))
-    vy_hi = np.where(h1, np.maximum(p2y, q2y), np.maximum(p1y, q1y))
+    vy_lo = np.where(h1, y2_lo, y1_lo)
+    vy_hi = np.where(h1, y2_hi, y1_hi)
     in_range = (
         (hx_lo - EPS <= vx)
         & (vx <= hx_hi + EPS)
         & (vy_lo - EPS <= hy)
         & (hy <= vy_hi + EPS)
     )
-    illegal_perp = in_range & ~ignored(vx, hy)
 
     # Parallel: same fixed coordinate and overlapping spans; a
     # positive-length overlap is always illegal, a point touch only
@@ -146,19 +153,23 @@ def _segments_illegal(
     # coordinate, as in ``_classify_parallel``.
     fixed1 = np.where(h1, p1y, p1x)
     fixed2 = np.where(h2, p2y, p2x)
-    lo1 = np.where(h1, np.minimum(p1x, q1x), np.minimum(p1y, q1y))
-    hi1 = np.where(h1, np.maximum(p1x, q1x), np.maximum(p1y, q1y))
-    lo2 = np.where(h2, np.minimum(p2x, q2x), np.minimum(p2y, q2y))
-    hi2 = np.where(h2, np.maximum(p2x, q2x), np.maximum(p2y, q2y))
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
+    lo = np.maximum(np.where(h1, x1_lo, y1_lo), np.where(h2, x2_lo, y2_lo))
+    hi = np.minimum(np.where(h1, x1_hi, y1_hi), np.where(h2, x2_hi, y2_hi))
     intersecting = (np.abs(fixed1 - fixed2) <= EPS) & (lo <= hi + EPS)
     pointlike = np.abs(hi - lo) <= EPS
-    touch_x = np.where(h1, lo, fixed1)
-    touch_y = np.where(h1, fixed1, lo)
-    illegal_par = intersecting & (~pointlike | ~ignored(touch_x, touch_y))
 
-    return np.where(h1 != h2, illegal_perp, illegal_par)
+    # One ignore test per row, at the perpendicular intersection point
+    # or the parallel touch point.
+    perpendicular = h1 != h2
+    at_ignored = ignored(
+        np.where(perpendicular, vx, np.where(h1, lo, fixed1)),
+        np.where(perpendicular, hy, np.where(h1, fixed1, lo)),
+    )
+    return np.where(
+        perpendicular,
+        in_range & ~at_ignored,
+        intersecting & (~pointlike | ~at_ignored),
+    )
 
 
 def _shared_ignores(
@@ -210,6 +221,79 @@ def _paths_illegal(
     return out
 
 
+def _pass_offsets(
+    pairings: tuple[tuple[int, ...], tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat segment offsets of each segment pair of ``pairings``.
+
+    Segment ``s`` of realization ``r`` of edge ``e`` is row
+    ``4 * e + 2 * r + s`` of ``seg.reshape(-1, 4)``; pairing ``k``
+    sets realization ``pairings[0][k]`` of the first edge against
+    realization ``pairings[1][k]`` of the second, and contributes its
+    four segment pairs in ``(s1, s2)`` order.
+    """
+    off1, off2 = [], []
+    for r1, r2 in zip(*pairings):
+        for s1 in range(2):
+            for s2 in range(2):
+                off1.append(2 * r1 + s1)
+                off2.append(2 * r2 + s2)
+    return np.array(off1, dtype=np.intp), np.array(off2, dtype=np.intp)
+
+
+#: The conflict kernel's two passes: realization pairing ``(0, 0)``
+#: over every candidate pair, then the other three pairings over the
+#: pairs the first pass left standing.
+_FIRST_PASS = _pass_offsets(((0,), (0,)))
+_SECOND_PASS = _pass_offsets(((0, 1, 1), (1, 0, 1)))
+
+
+def _pairings_illegal(
+    ends: np.ndarray,
+    seg: np.ndarray,
+    valid: np.ndarray,
+    idx1: np.ndarray,
+    idx2: np.ndarray,
+    offsets: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Per edge pair: is every realization pairing of a pass illegal?
+
+    ``offsets`` come from :func:`_pass_offsets`; a pairing is illegal
+    when any of its live segment pairs is.  Edges sharing both
+    terminals never conflict.  Each row block's segment pairs go
+    through one :func:`_segments_illegal` call of at most ``_BATCH``
+    rows.
+    """
+    off1, off2 = offsets
+    fan_out = off1.shape[0]
+    seg_rows = seg.reshape(-1, 4)
+    valid_rows = valid.reshape(-1)
+    step = max(1, _BATCH // fan_out)
+    out = np.empty(idx1.shape, dtype=bool)
+    for start in range(0, idx1.shape[0], step):
+        b1 = idx1[start : start + step]
+        b2 = idx2[start : start + step]
+        ignore = _shared_ignores(ends[b1], ends[b2])
+        (shared_a, _, _), (shared_b, _, _) = ignore
+        # One row per (edge pair, segment pair), edge pair major.
+        rows1 = (4 * b1[:, None] + off1).reshape(-1)
+        rows2 = (4 * b2[:, None] + off2).reshape(-1)
+        # ``take`` gathers rows far faster than fancy indexing here.
+        live = valid_rows.take(rows1) & valid_rows.take(rows2)
+        illegal = live & _segments_illegal(
+            seg_rows.take(rows1, axis=0),
+            seg_rows.take(rows2, axis=0),
+            tuple(
+                tuple(np.repeat(column, fan_out) for column in entry)
+                for entry in ignore
+            ),
+        )
+        out[start : start + step] = illegal.reshape(-1, fan_out // 4, 4).any(
+            axis=2
+        ).all(axis=1) & ~(shared_a & shared_b)
+    return out
+
+
 def _conflict_mask(
     ends: np.ndarray,
     seg: np.ndarray,
@@ -221,29 +305,15 @@ def _conflict_mask(
 
     Edges conflict when every realization pairing has an illegal
     interaction; edges sharing both terminals never conflict (the MILP
-    covers that case with the 2-cycle constraint).
+    covers that case with the 2-cycle constraint).  Two array passes:
+    pairing ``(0, 0)`` over every pair, then the other three pairings
+    over that pass's survivors only.
     """
-    ignore = _shared_ignores(ends[idx1], ends[idx2])
-    (shared_a, _, _), (shared_b, _, _) = ignore
-
-    seg1, valid1 = seg[idx1], valid[idx1]
-    seg2, valid2 = seg[idx2], valid[idx2]
-    conflict = ~(shared_a & shared_b)
-    for r1 in range(2):
-        for r2 in range(2):
-            pairing_illegal = np.zeros(idx1.shape, dtype=bool)
-            for s1 in range(2):
-                for s2 in range(2):
-                    live = valid1[:, r1, s1] & valid2[:, r2, s2]
-                    if not bool(np.any(live & conflict)):
-                        continue
-                    illegal = _segments_illegal(
-                        seg1[:, r1, s1], seg2[:, r2, s2], ignore
-                    )
-                    pairing_illegal |= illegal & live
-            conflict &= pairing_illegal
-            if not bool(np.any(conflict)):
-                return conflict
+    conflict = _pairings_illegal(ends, seg, valid, idx1, idx2, _FIRST_PASS)
+    survivors = np.flatnonzero(conflict)
+    conflict[survivors] = _pairings_illegal(
+        ends, seg, valid, idx1[survivors], idx2[survivors], _SECOND_PASS
+    )
     return conflict
 
 

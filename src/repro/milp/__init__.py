@@ -6,11 +6,13 @@ package provides a self-contained replacement:
 
 - a small modelling layer (:class:`Model`, :class:`Var`,
   :class:`LinExpr`, :class:`Constraint`) with natural operator
-  overloading, in the spirit of ``gurobipy``/``pulp``;
-- :meth:`Model.solve`, which runs every model through
-  :func:`scipy.optimize.milp` (the bundled HiGHS solver), exact and
-  fast for the problem sizes the paper evaluates (N <= 32 nodes, i.e.
-  <= 992 binaries) and, with lazy conflict rows, beyond.
+  overloading, in the spirit of ``gurobipy``/``pulp``, and
+  :class:`MatrixModel`, the same model held as arrays, for builders
+  of large structured models;
+- :meth:`Model.solve`, which runs every model through scipy's bundled
+  HiGHS solver, exact and fast for the problem sizes the paper
+  evaluates (N <= 32 nodes, i.e. <= 992 binaries) and, with lazy
+  conflict rows, beyond.
 
 A pure-Python branch-and-bound over a dense simplex lives in
 ``tests/milp_oracle.py`` as the independent reference the HiGHS
@@ -20,6 +22,7 @@ answers are checked against on small instances.
 from repro.milp.expression import LinExpr, Var
 from repro.milp.model import (
     Constraint,
+    MatrixModel,
     Model,
     Sense,
     Solution,
@@ -33,6 +36,7 @@ __all__ = [
     "Constraint",
     "Sense",
     "Model",
+    "MatrixModel",
     "Solution",
     "SolveStatus",
     "SolveError",

@@ -304,10 +304,10 @@ def spans_to_chrome(records: list[dict[str, Any]]) -> dict[str, Any]:
     cross-process timestamps align on the ``start_unix`` wall-clock
     anchor when present (records without one fall back to their local
     monotonic offset).  ``process_name`` metadata events label each
-    pid row, so Perfetto renders "worker pid N" lanes out of the box.
+    pid row by its role (``supervisor``, ``worker`` or ``synth``), so
+    Perfetto renders named lanes out of the box.
     """
     events: list[dict[str, Any]] = []
-    pids: dict[int, str] = {}
     anchored = [r.get("start_unix") for r in records if r.get("start_unix")]
     t0 = min(anchored) if anchored else 0.0
     for record in records:
@@ -335,21 +335,25 @@ def spans_to_chrome(records: list[dict[str, Any]]) -> dict[str, Any]:
                 ),
             }
         )
-        # The supervisor/service process emits the coordination spans
-        # (batch.attempt, batch.share, job); any pid that emitted one
-        # is the parent.
-        if record.get("name") in ("batch.attempt", "batch.share", "job"):
-            pids[pid] = f"supervisor pid {pid}"
-        else:
-            pids.setdefault(pid, f"worker pid {pid}")
-    for pid, label in sorted(pids.items()):
+    # The supervisor/service process emits the coordination spans
+    # (batch.attempt, batch.share, job); any pid that emitted one is
+    # the parent, and the other pids are its workers.  A trace with no
+    # parent is a single synthesis (``synth``).
+    supervisors = {
+        int(record.get("pid", 0))
+        for record in records
+        if record.get("name") in ("batch.attempt", "batch.share", "job")
+    }
+    child = "worker" if supervisors else "synth"
+    for pid in sorted({event["pid"] for event in events}):
+        role = "supervisor" if pid in supervisors else child
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": label},
+                "args": {"name": f"{role} pid {pid}"},
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -14,6 +14,11 @@ fast path is differentially tested against
 and a scalar cutting-plane violation check into the production modules, so
 ``construct_ring_tour`` and ``construct_ring_tour_heuristic`` run end
 to end without touching the bulk kernel.
+
+:func:`expression_ring_model` builds the Step-1 MILP row by row
+through the ``Model`` expression layer: the reference the arrays of
+``repro.core.ring._build_ring_model`` are checked against
+(``tests/test_ring_model.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from repro.geometry import (
     edges_conflict,
     paths_cross,
 )
-from repro.milp import SolveError
+from repro.milp import Model, SolveError
+from repro.milp.expression import lin_sum
 from repro.obs import get_obs
 from repro.sat import TwoSat
 
@@ -99,6 +105,57 @@ def merge_two_cycles(
         raise SolveError("no feasible splice between sub-cycles")
     finally:
         get_obs().metrics.counter("ring.merge.splice_attempts").inc(attempts)
+
+
+def expression_ring_model(
+    points: list[Point],
+    conflicts: dict[tuple[int, int], set[tuple[int, int]]],
+    cuts: list[tuple[tuple[int, int], tuple[int, int]]] = (),
+) -> Model:
+    """The Step-1 MILP built from expressions: constraints (1)-(2), the
+    constraint-(3) rows of ``conflicts`` (each unordered pair once, in
+    dict and set iteration order), then one row per ``cuts`` pair."""
+    n = len(points)
+    model = Model("xring-step1")
+    b = {
+        (i, j): model.binary_var(f"b_{i}_{j}")
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+    for i in range(n):
+        model.add_constraint(
+            lin_sum(b[(i, j)] for j in range(n) if j != i) == 1,
+            name=f"out_{i}",
+        )
+        model.add_constraint(
+            lin_sum(b[(j, i)] for j in range(n) if j != i) == 1,
+            name=f"in_{i}",
+        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            model.add_constraint(
+                b[(i, j)] + b[(j, i)] <= 1, name=f"two_cycle_{i}_{j}"
+            )
+    added: set[frozenset[tuple[int, int]]] = set()
+    rows = []
+    for pair, conflicting in conflicts.items():
+        for other in conflicting:
+            key = frozenset((pair, other))
+            if key not in added:
+                added.add(key)
+                rows.append((pair, other))
+    for (i, j), (p, q) in rows + list(cuts):
+        model.add_constraint(
+            b[(i, j)] + b[(j, i)] + b[(p, q)] + b[(q, p)] <= 1,
+            name=f"conflict_{i}_{j}_{p}_{q}",
+        )
+    model.minimize(
+        lin_sum(
+            var * points[i].manhattan(points[j]) for (i, j), var in b.items()
+        )
+    )
+    return model
 
 
 def _shared_points(e1, e2) -> list[Point]:

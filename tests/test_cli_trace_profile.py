@@ -256,3 +256,29 @@ class TestOneSpanSchema:
             "trace.json",
             "trace.jsonl",
         ]
+
+
+def _process_labels(trace_dir) -> dict[int, str]:
+    chrome = json.loads((trace_dir / "trace.json").read_text())
+    return {
+        e["pid"]: e["args"]["name"]
+        for e in chrome["traceEvents"]
+        if e["ph"] == "M" and e["name"] == "process_name"
+    }
+
+
+class TestProcessLabels:
+    def test_a_synth_run_is_one_synth_process(self, artifacts):
+        labels = _process_labels(artifacts / "trace")
+        assert len(labels) == 1
+        ((pid, label),) = labels.items()
+        assert label == f"synth pid {pid}"
+
+    def test_a_batch_has_one_supervisor_and_its_workers(self, batch_run):
+        labels = _process_labels(batch_run[0])
+        roles = sorted(label.split(" pid ")[0] for label in labels.values())
+        assert roles.count("supervisor") == 1
+        assert set(roles) == {"supervisor", "worker"}
+        assert all(
+            label.endswith(f" pid {pid}") for pid, label in labels.items()
+        )
