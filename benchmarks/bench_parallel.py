@@ -18,8 +18,9 @@ study and the ablation sweep:
   promise the profiler tests gate).
 
 Each scaling phase and the ablation sweep run ``REPEATS`` times, each
-stage size ``STAGE_REPEATS`` times, and report the median, the
-interquartile range and every sample.
+stage size ``STAGE_REPEATS`` times and each profiler arm
+``PROFILE_REPEATS`` times (bare and profiled runs alternate), and
+report the median, the interquartile range and every sample.
 
 Run from the repo root::
 
@@ -54,6 +55,8 @@ REPEATS = 3
 #: Floorplan sizes and repeats of the per-stage timing.
 STAGE_SIZES = (8, 16)
 STAGE_REPEATS = 7
+#: Alternating bare/profiled run pairs of the profiler-tax arm.
+PROFILE_REPEATS = 7
 #: Step-1 spans reported under the ring stage.
 RING_LAYERS = (
     "ring.build_model",
@@ -218,7 +221,10 @@ def bench_profile(num_nodes: int) -> dict:
     ``overhead_frac`` is the figure the perf sentinel guards — the
     sampling profiler promises <5% overhead, so a regression here
     means the sampler loop got more expensive, not the synthesis.
-    Best-of-two per arm to shave scheduler noise.
+    After one warm-up, ``PROFILE_REPEATS`` bare and profiled runs
+    alternate, so host drift hits both arms alike; the overhead is the
+    ratio of the two medians, and the stage attribution pools the
+    samples of every profiled run.
     """
     from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
     from repro.network import Network
@@ -242,20 +248,29 @@ def bench_profile(num_nodes: int) -> dict:
         return elapsed, profiler.stage_attribution()
 
     run_once(False)  # warm imports so neither arm pays them
-    t_bare = min(run_once(False)[0] for _ in range(2))
-    timings = [run_once(True) for _ in range(2)]
-    t_profiled = min(t for t, _ in timings)
-    attribution = timings[0][1]
+    bare, profiled, samples = [], [], {}
+    hz = None
+    for _ in range(PROFILE_REPEATS):
+        bare.append(run_once(False)[0])
+        elapsed, attribution = run_once(True)
+        profiled.append(elapsed)
+        hz = attribution["hz"]
+        for stage, stats in attribution["stages"].items():
+            samples[stage] = samples.get(stage, 0) + stats["samples"]
+    bare_s, profiled_s = _spread(bare), _spread(profiled)
+    total = sum(samples.values())
     return {
         "num_nodes": num_nodes,
-        "bare_s": round(t_bare, 4),
-        "profiled_s": round(t_profiled, 4),
-        "overhead_frac": round(max(0.0, t_profiled / t_bare - 1.0), 4),
-        "hz": attribution.get("hz"),
-        "samples": attribution.get("samples"),
+        "repeats": PROFILE_REPEATS,
+        "bare_s": bare_s,
+        "profiled_s": profiled_s,
+        "overhead_frac": round(
+            max(0.0, profiled_s["median_s"] / bare_s["median_s"] - 1.0), 4
+        ),
+        "hz": hz,
+        "samples": total,
         "stage_attribution": {
-            stage: stats["fraction"]
-            for stage, stats in attribution.get("stages", {}).items()
+            stage: round(n / total, 4) for stage, n in sorted(samples.items())
         },
     }
 
@@ -488,10 +503,11 @@ def main(argv: list[str] | None = None) -> int:
         )
     profile = payload["profile"]
     print(
-        f"  profiler: bare={profile['bare_s']}s"
-        f" profiled={profile['profiled_s']}s"
+        f"  profiler: bare={profile['bare_s']['median_s']}s"
+        f" profiled={profile['profiled_s']['median_s']}s"
         f" overhead={profile['overhead_frac']:.1%}"
-        f" ({profile['samples']} samples @ {profile['hz']}Hz)"
+        f" (medians of {profile['repeats']} runs,"
+        f" {profile['samples']} samples @ {profile['hz']}Hz)"
     )
     lazy = payload["lazy_conflicts"]
     print(

@@ -9,21 +9,16 @@ validated eagerly, so typos fail at construction instead of deep
 inside a stage.
 
 The flow is resilient by default (``on_error="degrade"``): every stage
-runs under a shared :class:`~repro.robustness.deadline.Deadline`, and a
-stage that times out, proves infeasible, or raises falls back along a
-degradation chain instead of hanging or surfacing garbage:
-
-- ring MILP timeout/infeasibility → heuristic ring (nearest-neighbour
-  + 2-opt); an in-budget incumbent is kept and flagged;
-- shortcut failure → no shortcuts;
-- mapping failure → plain-ring mapping (no shortcuts, demand order);
-- PDN failure → design without a PDN.
-
-Validation gates re-check the design rules after mapping and at the
-end; a gate failure triggers one bounded repair-retry (plain-ring
-remap) before a typed :class:`~repro.robustness.errors.ValidationFailure`
-is raised.  Every fallback, retry, and per-stage elapsed time lands in
-the machine-readable :class:`~repro.robustness.report.SynthesisReport`
+runs under a shared :class:`~repro.robustness.deadline.Deadline`, falls
+back instead of hanging or surfacing garbage, and passes a validation
+gate with one bounded repair-retry; the degradation table in DESIGN.md
+(§Failure modes) lists every fallback and repair.  Each stage is a
+short declaration over three mechanisms: ``_stage`` (the stage's
+report record, deadline slot and span), ``_attempt`` (faults, deadline
+check, build or fallback) and ``_repair`` (gate and one repair, else a
+typed :class:`~repro.robustness.errors.ValidationFailure`).  Every
+fallback, retry, and per-stage elapsed time lands in the
+machine-readable :class:`~repro.robustness.report.SynthesisReport`
 attached to the design.  ``on_error="raise"`` restores the old
 fail-fast behaviour: the first stage error propagates as a typed
 :class:`~repro.robustness.errors.SynthesisError`.
@@ -31,6 +26,7 @@ fail-fast behaviour: the first stage error propagates as a typed
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.design import XRingDesign
@@ -63,7 +59,6 @@ from repro.robustness import (
 from repro.robustness.report import (
     STATUS_FAILED,
     STATUS_FALLBACK,
-    STATUS_OK,
     STATUS_PROVIDED,
     STATUS_REPAIRED,
     STATUS_SKIPPED,
@@ -79,6 +74,9 @@ _ON_ERROR_POLICIES = ("raise", "degrade")
 #: Exceptions a degrading stage must NOT swallow: they indicate a bad
 #: call, not a runtime failure, and the fallback would hit them too.
 _NON_DEGRADABLE = (ConfigurationError, InputError)
+
+#: The post-mapping gate (the tour has passed its own gate by then).
+_MAPPING_RULES = ("coverage", "wavelengths", "openings", "shortcuts")
 
 _log = get_logger("synthesizer")
 
@@ -166,11 +164,14 @@ class SynthesisOptions:
             )
 
 
-def build_ring(points, options: SynthesisOptions, deadline=None) -> RingTour:
+def build_ring(
+    points, options: SynthesisOptions, deadline=None, *, method: str | None = None
+) -> RingTour:
     """Step 1 as ``options`` configure it, undegraded: the one place
     ``ring_method``, ``milp_time_limit`` and ``lazy_conflicts`` pick a
-    constructor."""
-    if options.ring_method == "heuristic":
+    constructor.  ``method`` overrides ``options.ring_method`` (the
+    synthesizer's heuristic fallback and ring repair)."""
+    if (method or options.ring_method) == "heuristic":
         return construct_ring_tour_heuristic(points)
     return construct_ring_tour(
         points,
@@ -312,317 +313,117 @@ class XRingSynthesizer:
             registry.gauge("deadline.budget_s").set(deadline.budget_s)
             registry.gauge("deadline.remaining_s").set(deadline.remaining())
 
-    # -- fail-fast policy ----------------------------------------------------
-    @property
-    def _fail_fast(self) -> bool:
-        return self.options.on_error == "raise"
-
+    # -- the stage step: scope, attempt, gate-and-repair --------------------
     def _reraise(self, exc: Exception) -> bool:
         """Whether ``exc`` must propagate instead of degrading."""
-        return self._fail_fast or isinstance(exc, _NON_DEGRADABLE)
+        return self.options.on_error == "raise" or isinstance(exc, _NON_DEGRADABLE)
 
-    # -- stage 1: ring -------------------------------------------------------
-    def _stage_ring(
-        self,
-        provided: RingTour | None,
-        deadline: Deadline,
-        report: SynthesisReport,
-    ) -> RingTour:
-        opts = self.options
-        record = report.record(StageRecord("ring"))
-        with deadline.stage("ring"), get_obs().tracer.span(
-            "stage.ring", method=opts.ring_method
-        ) as span:
-            record.span_id = span.span_id
-            points = list(self.network.positions)
-            # Whether the heuristic built ``tour``: rebuilding with it
-            # would only reproduce the tour, so a repair uses the MILP.
-            # A tour shared by the batch parent comes from the same
-            # :func:`build_ring` call.
-            heuristic_built = opts.ring_method == "heuristic"
-            if provided is not None:
-                # A shared tour still passes the post-ring gate below.
-                record.status = STATUS_PROVIDED
-                tour = provided
-            else:
+    @staticmethod
+    @contextmanager
+    def _stage(name: str, deadline: Deadline, report: SynthesisReport, **attrs):
+        """One stage's :class:`StageRecord`, deadline slot and
+        ``stage.<name>`` span, yielded as ``(record, span)``.  The span's
+        ``status`` and the record's ``elapsed_s`` are set on every exit,
+        a return or a raise included; a stage that raises has failed."""
+        record = report.record(StageRecord(name))
+        try:
+            with deadline.stage(name), get_obs().tracer.span(
+                f"stage.{name}", **attrs
+            ) as span:
+                record.span_id = span.span_id
                 try:
-                    self.fault_plan.apply_before("ring", deadline)
-                    deadline.check("ring")
-                    tour = build_ring(points, opts, deadline)
-                    if tour.timed_out:
-                        # In-budget MILP incumbent: usable, but flagged.
-                        record.status = STATUS_FALLBACK
-                        record.fallback = "milp_incumbent"
-                        _log.warning(
-                            "ring MILP hit its time limit; keeping the "
-                            "in-budget incumbent (span_id=%s)",
-                            record.span_id,
-                        )
-                except SynthesisError as exc:
-                    if self._reraise(exc):
-                        raise
-                    tour = construct_ring_tour_heuristic(points)
-                    heuristic_built = True
-                    record.status = STATUS_FALLBACK
-                    record.fallback = "heuristic_ring"
-                    record.error = str(exc)
-                    record.attempts = 2
-                    _log.warning(
-                        "ring MILP failed (%s); fell back to the heuristic "
-                        "ring (span_id=%s)",
-                        exc,
-                        record.span_id,
-                    )
-                tour = self.fault_plan.apply_after("ring", tour)
-            if opts.validate and not self._tour_ok(tour):
-                # Repair-retry: rebuild with the (bounded, fast)
-                # heuristic, or with the MILP when the heuristic built
-                # the failing tour; a second failure is surfaced typed.
-                repair = "milp_ring" if heuristic_built else "heuristic_ring"
-                report.retries += 1
-                record.attempts += 1
-                record.status = STATUS_REPAIRED
-                record.fallback = record.fallback or repair
-                record.error = record.error or "tour failed the validation gate"
-                _log.warning(
-                    "ring tour failed the validation gate; rebuilding with "
-                    "%s (span_id=%s)",
-                    "the MILP" if heuristic_built else "the heuristic",
-                    record.span_id,
-                )
-                try:
-                    if heuristic_built:
-                        tour = construct_ring_tour(
-                            points,
-                            time_limit=opts.milp_time_limit,
-                            deadline=deadline,
-                            lazy=opts.lazy_conflicts,
-                        )
-                    else:
-                        tour = construct_ring_tour_heuristic(points)
-                except SynthesisError as exc:
-                    # The failing tour stays and fails the gate below.
-                    if self._reraise(exc):
-                        raise
-                if not self._tour_ok(tour):
+                    yield record, span
+                except Exception:
                     record.status = STATUS_FAILED
-                    raise ValidationFailure(
-                        "ring tour still violates invariants after repair",
-                        stage="ring",
-                    )
-            span.set_attribute("status", record.status)
-        record.elapsed_s = deadline.stage_elapsed_s["ring"]
-        return tour
-
-    def _tour_ok(self, tour: RingTour) -> bool:
-        """The post-ring gate: the "tour" design rule on a stub design."""
-        interim = XRingDesign(
-            network=self.network,
-            tour=tour,
-            shortcut_plan=ShortcutPlan(),
-            mapping=SignalMapping(),
-        )
-        return not validate_design(interim, rules=("tour",))
-
-    # -- stage 2: shortcuts --------------------------------------------------
-    def _stage_shortcuts(
-        self,
-        tour: RingTour,
-        provided: ShortcutPlan | None,
-        deadline: Deadline,
-        report: SynthesisReport,
-    ) -> ShortcutPlan:
-        opts = self.options
-        record = report.record(StageRecord("shortcuts"))
-        with deadline.stage("shortcuts"), get_obs().tracer.span(
-            "stage.shortcuts", enabled=opts.enable_shortcuts
-        ) as span:
-            record.span_id = span.span_id
-            if provided is not None:
-                # A plan shared by the batch parent, selected on this
-                # very tour; the mapping and final gates still check it.
-                record.status = STATUS_PROVIDED
-                plan = copy_plan(provided)
-            else:
-                try:
-                    self.fault_plan.apply_before("shortcuts", deadline)
-                    deadline.check("shortcuts")
-                    plan = plan_shortcuts(
-                        tour, opts, self.network.demands(), deadline
-                    )
-                except SynthesisError as exc:
-                    if self._reraise(exc):
-                        raise
-                    plan = ShortcutPlan()
-                    record.status = STATUS_FALLBACK
-                    record.fallback = "no_shortcuts"
-                    record.error = str(exc)
-                    record.attempts = 2
-                    _log.warning(
-                        "shortcut selection failed (%s); continuing without "
-                        "shortcuts (span_id=%s)",
-                        exc,
-                        record.span_id,
-                    )
-                plan = self.fault_plan.apply_after("shortcuts", plan)
-            span.set_attribute("status", record.status)
-            span.set_attribute("selected", len(plan.shortcuts))
-        record.elapsed_s = deadline.stage_elapsed_s["shortcuts"]
-        return plan
-
-    # -- stage 3: mapping ----------------------------------------------------
-    def _stage_mapping(
-        self,
-        tour: RingTour,
-        plan: ShortcutPlan,
-        wl_budget: int,
-        deadline: Deadline,
-        report: SynthesisReport,
-    ) -> tuple[SignalMapping, ShortcutPlan]:
-        opts = self.options
-        record = report.record(StageRecord("mapping"))
-
-        def plain_ring() -> tuple[SignalMapping, ShortcutPlan]:
-            """The most conservative mapping: no shortcuts, demand order."""
-            fallback_plan = ShortcutPlan()
-            mapping = map_signals(
-                tour,
-                self.network.demands(),
-                fallback_plan,
-                wl_budget,
-                open_rings=opts.enable_openings,
-                order="demand",
-                direction_policy="shortest",
-            )
-            return mapping, fallback_plan
-
-        with deadline.stage("mapping"), get_obs().tracer.span(
-            "stage.mapping", wl_budget=wl_budget
-        ) as span:
-            record.span_id = span.span_id
-            try:
-                self.fault_plan.apply_before("mapping", deadline)
-                deadline.check("mapping")
-                mapping = map_signals(
-                    tour,
-                    self.network.demands(),
-                    plan,
-                    wl_budget,
-                    open_rings=opts.enable_openings,
-                    order=opts.mapping_order,
-                    direction_policy=opts.direction_policy,
-                )
-            except SynthesisError as exc:
-                if self._reraise(exc):
                     raise
-                mapping, plan = plain_ring()
-                record.status = STATUS_FALLBACK
-                record.fallback = "plain_ring"
-                record.error = str(exc)
-                record.attempts = 2
-                _log.warning(
-                    "signal mapping failed (%s); fell back to the "
-                    "plain-ring mapping (span_id=%s)",
-                    exc,
-                    record.span_id,
-                )
-            mapping = self.fault_plan.apply_after("mapping", mapping)
-            if opts.validate:
-                violations = self._gate(
-                    tour, plan, mapping,
-                    rules=("coverage", "wavelengths", "openings", "shortcuts"),
-                )
-                if violations:
-                    report.retries += 1
-                    record.attempts += 1
-                    record.status = STATUS_REPAIRED
-                    record.fallback = "plain_ring"
-                    record.error = record.error or "; ".join(
-                        str(v) for v in violations[:3]
-                    )
-                    _log.warning(
-                        "mapping failed the validation gate (%d violations); "
-                        "retrying with the plain-ring mapping (span_id=%s)",
-                        len(violations),
-                        record.span_id,
-                    )
-                    mapping, plan = plain_ring()
-                    violations = self._gate(
-                        tour, plan, mapping,
-                        rules=("coverage", "wavelengths", "openings", "shortcuts"),
-                    )
-                    if violations:
-                        record.status = STATUS_FAILED
-                        raise ValidationFailure(
-                            "mapping still violates design rules after repair",
-                            violations=violations,
-                            stage="mapping",
-                        )
-            span.set_attribute("status", record.status)
-        record.elapsed_s = deadline.stage_elapsed_s["mapping"]
-        return mapping, plan
+                finally:
+                    span.set_attribute("status", record.status)
+        finally:
+            record.elapsed_s = deadline.stage_elapsed_s.get(name, 0.0)
 
-    def _gate(self, tour, plan, mapping, rules):
-        """Run a validation-rule subset on an interim (PDN-less) design."""
+    def _attempt(
+        self, record, deadline, build, fallback, label, *,
+        status=STATUS_FALLBACK, degrade_on=(SynthesisError,),
+    ):
+        """One try at a stage's artifact: fire the stage's scripted
+        faults, check the deadline, then ``build``.  A degradable error
+        takes ``fallback`` instead, recorded as ``status``/``label``.
+        Either artifact then meets the stage's scripted corruptions."""
+        try:
+            self.fault_plan.apply_before(record.name, deadline)
+            deadline.check(record.name)
+            artifact = build()
+        except degrade_on as exc:
+            if self._reraise(exc):
+                raise
+            artifact = fallback()
+            record.status = status
+            record.fallback = label
+            record.error = str(exc)
+            record.attempts = 2
+            _log.warning(
+                "%s stage failed (%s); degrading to %s (span_id=%s)",
+                record.name, exc, label, record.span_id,
+            )
+        return self.fault_plan.apply_after(record.name, artifact)
+
+    def _repair(self, record, report, artifact, gate, repair, label):
+        """The validation gate with one bounded repair-retry: ``gate``
+        lists an artifact's violations; on any, ``repair`` rebuilds it
+        once, and violations that persist raise
+        :class:`ValidationFailure`, under the degrade policy too."""
+        violations = gate(artifact)
+        if not violations:
+            return artifact
+        report.retries += 1
+        record.attempts += 1
+        record.status = STATUS_REPAIRED
+        record.fallback = record.fallback or label
+        record.error = record.error or "; ".join(str(v) for v in violations[:3])
+        _log.warning(
+            "%s failed the validation gate (%d violation(s)); repairing with "
+            "%s (span_id=%s)",
+            record.name, len(violations), label, record.span_id,
+        )
+        artifact = repair()
+        violations = gate(artifact)
+        if violations:
+            report.violations = [str(v) for v in violations]
+            raise ValidationFailure(
+                f"{record.name} still violates {len(violations)} rule(s) "
+                "after repair",
+                violations=violations,
+                stage=record.name,
+            )
+        return artifact
+
+    def _gate(self, tour, plan=None, mapping=None, rules=None):
+        """Validation ``rules`` on an interim, PDN-less design."""
         interim = XRingDesign(
             network=self.network,
             tour=tour,
-            shortcut_plan=plan,
-            mapping=mapping,
+            shortcut_plan=ShortcutPlan() if plan is None else plan,
+            mapping=SignalMapping() if mapping is None else mapping,
         )
         return validate_design(interim, rules=rules)
 
-    # -- stage 4: pdn --------------------------------------------------------
-    def _stage_pdn(
-        self,
-        tour: RingTour,
-        mapping: SignalMapping,
-        plan: ShortcutPlan,
-        deadline: Deadline,
-        report: SynthesisReport,
-    ) -> PdnDesign | None:
-        opts = self.options
-        record = report.record(StageRecord("pdn"))
-        with deadline.stage("pdn"), get_obs().tracer.span(
-            "stage.pdn", mode=opts.pdn_mode or "none"
-        ) as span:
-            record.span_id = span.span_id
-            if opts.pdn_mode is None:
-                record.status = STATUS_OK
-                span.set_attribute("status", record.status)
-                return None
-            try:
-                self.fault_plan.apply_before("pdn", deadline)
-                deadline.check("pdn")
-                pdn = build_pdn(
-                    tour,
-                    mapping,
-                    plan,
-                    opts.loss,
-                    self.network.bounding_box(),
-                    mode=opts.pdn_mode,
-                )
-            except Exception as exc:
-                if self._reraise(exc) or not isinstance(
-                    exc, (SynthesisError, ValueError, KeyError)
-                ):
-                    raise
-                pdn = None
-                record.status = STATUS_SKIPPED
-                record.fallback = "no_pdn"
-                record.error = str(exc)
-                record.attempts = 2
-                _log.warning(
-                    "PDN construction failed (%s); shipping the design "
-                    "without a PDN (span_id=%s)",
-                    exc,
-                    record.span_id,
-                )
-            span.set_attribute("status", record.status)
-        record.elapsed_s = deadline.stage_elapsed_s["pdn"]
-        return pdn
+    # -- stage builds --------------------------------------------------------
+    def _map(self, tour, plan, wl_budget, order, direction_policy) -> SignalMapping:
+        return map_signals(
+            tour, self.network.demands(), plan, wl_budget,
+            open_rings=self.options.enable_openings,
+            order=order, direction_policy=direction_policy,
+        )
 
-    # -- assembly + final gate -----------------------------------------------
+    def _plain_ring(self, tour: RingTour, wl_budget: int) -> SignalMapping:
+        """The most conservative mapping: no shortcuts, demand order."""
+        return self._map(tour, ShortcutPlan(), wl_budget, "demand", "shortest")
+
+    def _pdn(self, tour, mapping, plan) -> PdnDesign:
+        opts = self.options
+        box = self.network.bounding_box()
+        return build_pdn(tour, mapping, plan, opts.loss, box, mode=opts.pdn_mode)
+
     def _assemble(self, tour, plan, mapping, pdn, report) -> XRingDesign:
         return XRingDesign(
             network=self.network,
@@ -634,70 +435,146 @@ class XRingSynthesizer:
             report=report,
         )
 
-    def _final_gate(
-        self,
-        design: XRingDesign,
-        wl_budget: int,
-        deadline: Deadline,
-        report: SynthesisReport,
-    ) -> XRingDesign:
+    # -- the stages: build, fallback, gate and repair of each ----------------
+    def _stage_ring(self, provided, deadline, report) -> RingTour:
         opts = self.options
-        if not opts.validate:
+        points = list(self.network.positions)
+        stage = self._stage("ring", deadline, report, method=opts.ring_method)
+        with stage as (record, _):
+            if provided is not None:
+                # A shared tour still passes the post-ring gate below.
+                record.status = STATUS_PROVIDED
+                tour = provided
+            else:
+
+                def build() -> RingTour:
+                    tour = build_ring(points, opts, deadline)
+                    if tour.timed_out:
+                        # In-budget MILP incumbent: usable, but flagged.
+                        record.status = STATUS_FALLBACK
+                        record.fallback = "milp_incumbent"
+                        _log.warning(
+                            "ring MILP hit its time limit; keeping the "
+                            "in-budget incumbent (span_id=%s)",
+                            record.span_id,
+                        )
+                    return tour
+
+                tour = self._attempt(
+                    record, deadline, build,
+                    lambda: build_ring(points, opts, deadline, method="heuristic"),
+                    "heuristic_ring",
+                )
+            if not opts.validate:
+                return tour
+            # Rebuilding with the heuristic would only reproduce a tour
+            # it built (a shared tour comes from the same build_ring
+            # call), so that tour is rebuilt with the MILP.
+            heuristic_built = (
+                opts.ring_method == "heuristic" or record.fallback == "heuristic_ring"
+            )
+            method = "milp" if heuristic_built else "heuristic"
+
+            def rebuild() -> RingTour:
+                try:
+                    return build_ring(points, opts, deadline, method=method)
+                except SynthesisError as exc:
+                    # The failing tour stays and fails the gate again.
+                    if self._reraise(exc):
+                        raise
+                    return tour
+
+            return self._repair(
+                record, report, tour,
+                lambda t: self._gate(t, rules=("tour",)),
+                rebuild,
+                f"{method}_ring",
+            )
+
+    def _stage_shortcuts(self, tour, provided, deadline, report) -> ShortcutPlan:
+        opts = self.options
+        enabled = opts.enable_shortcuts
+        stage = self._stage("shortcuts", deadline, report, enabled=enabled)
+        with stage as (record, span):
+            if provided is not None:
+                # A plan shared by the batch parent, selected on this
+                # very tour; the mapping and final gates still check it.
+                record.status = STATUS_PROVIDED
+                plan = copy_plan(provided)
+            else:
+                demands = self.network.demands()
+                plan = self._attempt(
+                    record, deadline,
+                    lambda: plan_shortcuts(tour, opts, demands, deadline),
+                    ShortcutPlan,
+                    "no_shortcuts",
+                )
+            span.set_attribute("selected", len(plan.shortcuts))
+        return plan
+
+    def _stage_mapping(
+        self, tour, plan, wl_budget, deadline, report
+    ) -> tuple[SignalMapping, ShortcutPlan]:
+        opts = self.options
+        stage = self._stage("mapping", deadline, report, wl_budget=wl_budget)
+        with stage as (record, _):
+
+            def kept_plan() -> ShortcutPlan:
+                # A plain-ring mapping (fallback or repair) has no shortcuts.
+                return ShortcutPlan() if record.fallback else plan
+
+            def plain_ring() -> SignalMapping:
+                return self._plain_ring(tour, wl_budget)
+
+            mapping = self._attempt(
+                record, deadline,
+                lambda: self._map(
+                    tour, plan, wl_budget, opts.mapping_order, opts.direction_policy
+                ),
+                plain_ring,
+                "plain_ring",
+            )
+            if opts.validate:
+                mapping = self._repair(
+                    record, report, mapping,
+                    lambda m: self._gate(tour, kept_plan(), m, _MAPPING_RULES),
+                    plain_ring,
+                    "plain_ring",
+                )
+            return mapping, kept_plan()
+
+    def _stage_pdn(self, tour, mapping, plan, deadline, report) -> PdnDesign | None:
+        opts = self.options
+        stage = self._stage("pdn", deadline, report, mode=opts.pdn_mode or "none")
+        with stage as (record, _):
+            if opts.pdn_mode is None:
+                return None
+            return self._attempt(
+                record, deadline,
+                lambda: self._pdn(tour, mapping, plan),
+                lambda: None,
+                "no_pdn",
+                status=STATUS_SKIPPED,
+                degrade_on=(SynthesisError, ValueError, KeyError),
+            )
+
+    def _final_gate(self, design, wl_budget, deadline, report) -> XRingDesign:
+        if not self.options.validate:
             return design
-        record = report.record(StageRecord("validate"))
-        try:
-            with deadline.stage("validate"), get_obs().tracer.span(
-                "stage.validate"
-            ) as span:
-                record.span_id = span.span_id
-                violations = validate_design(design)
-                if not violations:
-                    return design
-                # One bounded repair-retry: plain-ring remap + PDN rebuild.
-                report.retries += 1
-                record.attempts += 1
-                record.status = STATUS_REPAIRED
-                record.fallback = "plain_ring"
-                record.error = "; ".join(str(v) for v in violations[:3])
-                _log.warning(
-                    "final gate found %d violation(s); repairing with a "
-                    "plain-ring remap (span_id=%s)",
-                    len(violations),
-                    record.span_id,
-                )
-                plan = ShortcutPlan()
-                mapping = map_signals(
-                    design.tour,
-                    self.network.demands(),
-                    plan,
-                    wl_budget,
-                    open_rings=opts.enable_openings,
-                    order="demand",
-                    direction_policy="shortest",
-                )
-                pdn = None
-                if opts.pdn_mode is not None:
-                    pdn = build_pdn(
-                        design.tour,
-                        mapping,
-                        plan,
-                        opts.loss,
-                        self.network.bounding_box(),
-                        mode=opts.pdn_mode,
-                    )
-                design = self._assemble(design.tour, plan, mapping, pdn, report)
-                violations = validate_design(design)
-                if violations:
-                    record.status = STATUS_FAILED
-                    report.violations = [str(v) for v in violations]
-                    raise ValidationFailure(
-                        f"design still violates {len(violations)} rule(s) "
-                        f"after repair",
-                        violations=violations,
-                    )
-        finally:
-            record.elapsed_s = deadline.stage_elapsed_s.get("validate", 0.0)
-        return design
+
+        def repair() -> XRingDesign:
+            # A plain-ring remap plus a PDN rebuild.
+            tour, plan = design.tour, ShortcutPlan()
+            mapping = self._plain_ring(tour, wl_budget)
+            pdn = None
+            if self.options.pdn_mode is not None:
+                pdn = self._pdn(tour, mapping, plan)
+            return self._assemble(tour, plan, mapping, pdn, report)
+
+        with self._stage("validate", deadline, report) as (record, _):
+            return self._repair(
+                record, report, design, validate_design, repair, "plain_ring"
+            )
 
 
 def synthesize(

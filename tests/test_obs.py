@@ -320,6 +320,57 @@ class TestSynthesizerIntegration:
         for record in design.report.stages:
             assert by_id[record.span_id].name == f"stage.{record.name}"
 
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [
+            None,
+            "shortcuts-error+mapping-corrupt",
+            "pdn-error",
+        ],
+    )
+    def test_every_stage_span_carries_its_record_status(self, fault_plan):
+        from repro.robustness import FaultPlan
+
+        plans = {
+            None: FaultPlan(),
+            "shortcuts-error+mapping-corrupt": FaultPlan()
+            .error("shortcuts")
+            .corrupt("mapping", "drop_assignment"),
+            "pdn-error": FaultPlan().error("pdn"),
+        }
+        tracer = Tracer()
+        design = XRingSynthesizer(
+            _network(), SynthesisOptions(), tracer=tracer,
+            fault_plan=plans[fault_plan],
+        ).run()
+        by_id = {s.span_id: s for s in tracer.finished_spans()}
+        records = design.report.stages
+        assert [r.name for r in records] == [
+            "ring", "shortcuts", "mapping", "pdn", "validate",
+        ]
+        for record in records:
+            span = by_id[record.span_id]
+            assert span.attributes["status"] == record.status, record.name
+        if fault_plan is not None:
+            assert design.report.degraded
+
+    def test_a_stage_that_raises_is_traced_as_failed(self):
+        from repro.robustness import FaultInjected, FaultPlan
+
+        tracer = Tracer()
+        synthesizer = XRingSynthesizer(
+            _network(), SynthesisOptions(on_error="raise"), tracer=tracer,
+            fault_plan=FaultPlan().error("mapping"),
+        )
+        with pytest.raises(FaultInjected):
+            synthesizer.run()
+        status = {
+            s.name: s.attributes.get("status") for s in tracer.finished_spans()
+        }
+        assert status["stage.ring"] == "ok"
+        assert status["stage.mapping"] == "failed"
+        assert "stage.pdn" not in status
+
     def test_report_carries_solver_counters(self):
         design = XRingSynthesizer(_network(), SynthesisOptions()).run()
         report = design.report

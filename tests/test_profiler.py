@@ -55,6 +55,23 @@ class TestCapture:
         ring = attribution["stages"].get("ring")
         assert ring is not None and ring["fraction"] > 0.5
 
+    def test_stage_functions_name_the_synthesizer_stages(self):
+        # The profiler attributes samples by frame name, so every key
+        # must be a real stage method and every stage must be mapped.
+        from repro.core.synthesizer import SynthesisOptions, XRingSynthesizer
+        from repro.network import Network
+        from repro.network.placement import psion_placement
+
+        for name in STAGE_FUNCTIONS:
+            assert callable(getattr(XRingSynthesizer, name, None)), name
+        points, die = psion_placement(8)
+        design = XRingSynthesizer(
+            Network.from_positions(points, die=die), SynthesisOptions()
+        ).run()
+        assert set(STAGE_FUNCTIONS.values()) == {
+            record.name for record in design.report.stages
+        }
+
     def test_collapsed_export_shape(self):
         with SamplingProfiler(hz=200.0) as profiler:
             _spin(0.15)

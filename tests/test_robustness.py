@@ -201,6 +201,21 @@ class TestCleanRunReport:
             design.report.total_elapsed_s + 1e-6
         )
 
+    @pytest.mark.parametrize("pdn_mode", ["internal", None])
+    def test_every_stage_elapsed_matches_its_deadline_gauge(
+        self, network8, pdn_mode
+    ):
+        design = XRingSynthesizer(
+            network8, SynthesisOptions(pdn_mode=pdn_mode)
+        ).run()
+        gauges = design.report.metrics["gauges"]
+        names = [s.name for s in design.report.stages]
+        assert names == ["ring", "shortcuts", "mapping", "pdn", "validate"]
+        for record in design.report.stages:
+            gauge = gauges[f"deadline.{record.name}.elapsed_s"]
+            assert gauge > 0.0
+            assert record.elapsed_s == gauge, record.name
+
 
 class TestDegradationChain:
     """Every injected failure ends in a valid design, on time."""
