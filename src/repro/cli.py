@@ -112,17 +112,6 @@ def _load_placement(path: str) -> Network:
     return Network.from_positions(points, traffic=pairs)
 
 
-def _attach_l2(args: argparse.Namespace) -> None:
-    """Attach the durable L2 cache when ``batch`` got ``--cache-dir``
-    (``serve`` wires its own through :class:`ServiceConfig`)."""
-    cache_dir = getattr(args, "cache_dir", "")
-    if not cache_dir:
-        return
-    from repro.parallel.cache import configure_l2
-
-    configure_l2(cache_dir)
-
-
 def _start_profiler(args: argparse.Namespace):
     """Start the sampling profiler when ``--profile-dir`` was passed."""
     if not getattr(args, "profile_dir", ""):
@@ -290,10 +279,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     ``--retries`` and collected per case; the exit code is the number of failed
     cases (0 = all ok, 130 = interrupted).
 
-    ``--journal`` checkpoints every finished case; Ctrl-C / SIGTERM
-    cancels pending work, flushes the journal and the partial report,
-    and exits 130 with a resume hint.  ``--resume <journal>`` skips
-    the checkpointed cases and completes the rest.
+    ``--cache-dir DIR`` persists every successful case to the L2 in
+    ``DIR``; Ctrl-C / SIGTERM cancels pending work, prints the partial
+    report and exits 130 with a resume hint.  ``--resume DIR`` (an
+    existing L2 directory) restores the cases stored there and runs
+    the rest, failed cases included.
 
     ``--progress`` streams the live supervisor event feed (case
     started / retried / quarantined / done, periodic heartbeats) to
@@ -303,29 +293,27 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import threading
 
     from repro.obs import atomic_write_text
-    from repro.parallel import BatchSynthesizer, SupervisorConfig
+    from repro.parallel import BatchSynthesizer, SupervisorConfig, configure_l2
     from repro.service.jobs import case_from_spec
 
     if (
         args.resume
-        and args.journal
-        and os.path.abspath(args.resume) != os.path.abspath(args.journal)
+        and args.cache_dir
+        and os.path.abspath(args.resume) != os.path.abspath(args.cache_dir)
     ):
-        # Silently preferring one of the two would drop checkpoints into
-        # an unexpected file; refuse and make the caller pick.
         print(
-            "xring batch: --journal and --resume point at different files "
-            f"({args.journal!r} vs {args.resume!r}); --resume already "
-            "journals new checkpoints into the journal it resumes from, "
-            "so pass only one of the two flags",
+            "xring batch: --cache-dir and --resume name different "
+            f"directories ({args.cache_dir!r} vs {args.resume!r}); "
+            "pass only one of the two flags",
             file=sys.stderr,
         )
         return 2
-    if args.resume and not os.path.isfile(args.resume):
-        # A typo here would silently rerun the whole batch from scratch.
+    if args.resume and not os.path.isdir(args.resume):
+        # A typo here would silently rerun the whole batch from scratch
+        # (and PersistentStore would create the directory).
         print(
-            f"xring batch: --resume journal {args.resume!r} does not exist "
-            "(use --journal to start a new one)",
+            f"xring batch: --resume directory {args.resume!r} does not exist "
+            "(use --cache-dir to start a new one)",
             file=sys.stderr,
         )
         return 2
@@ -339,7 +327,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if placement:
             case = dataclasses.replace(case, network=_load_placement(placement))
         cases.append(case)
-    journal_path = args.resume or args.journal
+    cache_dir = args.resume or args.cache_dir
+    configure_l2(cache_dir)
     on_event = None
     if args.progress:
 
@@ -368,17 +357,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     profiler = _start_profiler(args)
     try:
         try:
-            report = synthesizer.run(cases, journal=journal_path)
+            report = synthesizer.run(cases)
         except KeyboardInterrupt:
             # Interrupted outside the supervisor loop (case loading,
             # Step 1-2 sharing): nothing partial to print beyond the hint.
             print("xring batch: interrupted", file=sys.stderr)
-            if journal_path:
-                print(
-                    f"resume with: xring batch {args.cases} "
-                    f"--resume {journal_path}",
-                    file=sys.stderr,
-                )
+            _print_resume_hint(args.cases, cache_dir)
             return 130
     finally:
         if profiler is not None:
@@ -444,19 +428,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"batch report written: {args.out}")
     if report.interrupted:
         print("xring batch: interrupted before completion", file=sys.stderr)
-        if journal_path:
-            print(
-                f"resume with: xring batch {args.cases} --resume {journal_path}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "hint: pass --journal <path> next time to make interrupted "
-                "runs resumable",
-                file=sys.stderr,
-            )
+        _print_resume_hint(args.cases, cache_dir)
         return 130
     return min(len(report.errors), 125)
+
+
+def _print_resume_hint(cases: str, cache_dir: str) -> None:
+    if cache_dir:
+        hint = f"resume with: xring batch {cases} --resume {cache_dir}"
+    else:
+        hint = (
+            "hint: pass --cache-dir DIR next time to make interrupted "
+            "runs resumable"
+        )
+    print(hint, file=sys.stderr)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -982,19 +967,12 @@ def build_parser() -> argparse.ArgumentParser:
         "killed and respawned, the case is retried",
     )
     batch.add_argument(
-        "--journal",
-        type=str,
-        default="",
-        help="checkpoint every finished case into this JSONL journal "
-        "(atomic writes), making interrupted runs resumable",
-    )
-    batch.add_argument(
         "--resume",
         type=str,
         default="",
-        help="resume from an existing checkpoint journal: restore finished "
-        "cases verbatim and run only the remainder (implies --journal "
-        "<path>)",
+        help="resume from an existing --cache-dir directory: restore the "
+        "successful cases stored there and run the rest, failed cases "
+        "included (same as --cache-dir DIR, but DIR must exist)",
     )
     batch.add_argument(
         "--progress",
@@ -1283,10 +1261,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         with use_obs(ObsContext(tracer=tracer, metrics=registry)):
-            if args.command != "serve":
-                # serve attaches inside JobManager.start (it owns the
-                # backend ref for /stats); everyone else attaches here.
-                _attach_l2(args)
             exit_code = args.func(args)
         if history_kind is not None:
             _record_history(

@@ -24,7 +24,7 @@ truncated JSON behind — the reader sees either the previous complete
 file or the new complete file, nothing in between.
 
 The module also holds the repo's one append-only JSONL log primitive,
-shared by the job store, the batch journal and the run ledger:
+shared by the job store and the run ledger:
 :func:`append_jsonl` appends whole lines, and
 :func:`read_jsonl` reads them back.  A crash mid-append can only leave
 a *torn tail* — bytes after the last newline.  The reader drops it

@@ -14,7 +14,7 @@ trace:
   to, and a ``prefix`` namespacing the remote side's span ids.  It is
   a tiny frozen dataclass, picklable, and travels inside the
   supervisor's task tuple (never inside :class:`BatchCase`, whose
-  content hash keys the checkpoint journal).
+  content hash keys the case's L2 entry).
 - **Span uids** — cross-process span identity.  A tracer-local integer
   id becomes ``"<prefix>:<span_id>"``; the supervisor hands every
   attempt a unique prefix (``c<index>.a<attempt>``), so retries of the

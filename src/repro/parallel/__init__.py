@@ -1,24 +1,23 @@
 """Fault-tolerant batch synthesis over process pools, plus the L2 cache.
 
-Four cooperating pieces:
+Three cooperating pieces:
 
 - :mod:`repro.parallel.cache` — :class:`SynthesisCache`, the
-  process-global holder of the durable L2 backend (a
+  process-global holder of the durable L2 (a
   :mod:`repro.parallel.store` directory on local disk), which keeps
-  finished batch results;
+  finished batch results and is what ``xring batch --resume`` restores
+  from;
 - :mod:`repro.parallel.supervisor` — :class:`WorkerSupervisor`, the
   self-healing worker pool: per-case watchdog timeouts (hung workers
   are killed and respawned), retry with exponential backoff + seeded
   jitter, poison-case quarantine, and a circuit breaker — policy in
   :class:`SupervisorConfig`, events in :class:`SupervisorStats`;
-- :mod:`repro.parallel.journal` — :class:`BatchJournal`, the
-  crash-safe append-only checkpoint (atomic tmp+``os.replace``
-  writes) behind ``xring batch --resume``;
 - :mod:`repro.parallel.batch` — :class:`BatchSynthesizer`, which runs
   many :class:`BatchCase` synthesis problems through the supervisor
   (or inline for ``workers=1``) with deterministic input-order
   results and merged observability; cases on one floorplan share
-  Steps 1-2, built once in the parent.
+  Steps 1-2, built once in the parent, and :func:`case_key` names a
+  case's L2 entry.
 
 The experiments (:mod:`repro.experiments`) and the CLI ``batch``
 subcommand / ``--workers`` flag are built on this package.
@@ -30,6 +29,8 @@ from repro.parallel.batch import (
     BatchReport,
     BatchResult,
     BatchSynthesizer,
+    case_key,
+    result_digest,
 )
 from repro.parallel.cache import (
     SynthesisCache,
@@ -37,12 +38,6 @@ from repro.parallel.cache import (
     clear_caches,
     configure_l2,
     get_cache,
-)
-from repro.parallel.journal import (
-    BatchJournal,
-    batch_fingerprint,
-    case_key,
-    result_digest,
 )
 from repro.parallel.supervisor import (
     EVENT_CASE_DONE,
@@ -67,8 +62,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "BatchSynthesizer",
-    "BatchJournal",
-    "batch_fingerprint",
     "case_key",
     "result_digest",
     "AttemptRecord",

@@ -22,11 +22,12 @@ Design decisions:
   instead of aborting the run), and a circuit breaker that fails fast
   when recent cases fail systemically.  Policy lives in
   :class:`~repro.parallel.supervisor.SupervisorConfig`.
-- **Crash-safe checkpointing** — pass ``journal=`` (a path or
-  :class:`~repro.parallel.journal.BatchJournal`) and every finished
-  case is checkpointed durably; a killed batch resumes from the
-  journal, restoring finished results verbatim and recomputing only
-  unfinished cases (CLI: ``xring batch --resume``).
+- **Resume from the L2** — with a durable L2 attached
+  (:func:`~repro.parallel.cache.configure_l2`), every successful case
+  is persisted as it finishes, under its :func:`case_key`; re-running
+  a killed batch against the same directory restores those results
+  and recomputes only the rest, failed cases included (CLI:
+  ``xring batch --resume DIR``).
 - **Per-worker observability re-initialization** — each case gets a
   fresh :class:`~repro.obs.MetricsRegistry` (and, when span collection
   is requested, a fresh :class:`~repro.obs.Tracer`) installed as the
@@ -61,7 +62,6 @@ import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.obs import (
@@ -78,13 +78,7 @@ from repro.obs import (
     use_obs,
 )
 from repro.parallel.cache import canonical_points, get_cache
-from repro.parallel.journal import (
-    BatchJournal,
-    batch_fingerprint,
-    case_key,
-    result_digest,
-)
-from repro.parallel.store import counter_metric_name
+from repro.parallel.store import PersistentStore, counter_metric_name
 from repro.parallel.supervisor import (
     BatchCase,
     BatchResult,
@@ -105,6 +99,8 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "BatchSynthesizer",
+    "case_key",
+    "result_digest",
 ]
 
 _log = get_logger("parallel")
@@ -121,13 +117,54 @@ class BatchError(SynthesisError):
 
 # -- durable L2 (whole-result tier) ------------------------------------------
 #
-# Finished cases are persisted to the attached L2 backend under their
-# journal ``case_key`` (which covers floorplan + every synthesis
-# option), so an identical batch on a fresh process restores results
-# without re-solving, journal or not.  Payloads are the journal's
-# pickle+zlib encoding; the entry meta carries the options hash and the
-# design digest, and the digest is re-verified after unpickling
+# Finished cases are persisted to the attached L2 under their
+# ``case_key`` (which covers floorplan + every synthesis option), so an
+# identical batch on a fresh process restores results without
+# re-solving: that is how an interrupted batch resumes.  Payloads are
+# zlib-compressed pickles; the entry meta carries the options hash and
+# the design digest, and the digest is re-verified after unpickling
 # (defense in depth on top of the store's payload checksum).
+
+
+def case_key(index: int, case: BatchCase) -> str:
+    """Content hash identifying one case across batch runs.
+
+    Covers the input position in the batch, the floorplan (positions,
+    traffic, die), and every synthesis option — anything that changes
+    the case's output changes its key, so a stored result can never
+    satisfy a different case.
+    """
+    payload = {
+        "index": index,
+        "label": case.named(),
+        "positions": [[node.position.x, node.position.y] for node in case.network.nodes],
+        "traffic": [list(pair) for pair in case.network.traffic],
+        "die": None
+        if case.network.die is None
+        else [
+            case.network.die.xmin,
+            case.network.die.ymin,
+            case.network.die.xmax,
+            case.network.die.ymax,
+        ],
+        "options": dataclasses.asdict(case.options),
+    }
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def result_digest(result: BatchResult) -> str:
+    """SHA-256 of the deterministic part of a result.
+
+    Successful cases hash the canonical structural design dump, so two
+    runs agreeing on the digest produced byte-identical designs;
+    failures hash the error string.
+    """
+    if result.design is not None:
+        payload = canonical_json(result.design.to_dict())
+    else:
+        payload = result.error or ""
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 L2_RESULT_SECTION = "results"
 
@@ -144,9 +181,11 @@ def _l2_meta(case: BatchCase, result: BatchResult) -> dict[str, Any]:
     }
 
 
-def _l2_store_result(l2: Any, key: str, case: BatchCase, result: BatchResult) -> None:
+def _l2_store_result(
+    l2: PersistentStore, key: str, case: BatchCase, result: BatchResult
+) -> None:
     """Persist one freshly-computed successful case (best effort)."""
-    if not result.ok or result.interrupted or result.cached or result.resumed:
+    if not result.ok:
         return
     try:
         payload = zlib.compress(
@@ -157,10 +196,10 @@ def _l2_store_result(l2: Any, key: str, case: BatchCase, result: BatchResult) ->
         _log.warning("L2 result write for %s failed; continuing", key, exc_info=True)
 
 
-def _l2_restore_result(l2: Any, key: str) -> BatchResult | None:
+def _l2_restore_result(l2: PersistentStore, key: str) -> BatchResult | None:
     """Rebuild a finished case from the L2, or ``None``.
 
-    Backends count hits/misses themselves; a payload that decodes but
+    The store counts hits/misses itself; a payload that decodes but
     fails the digest check is corrected back into a miss so
     ``cache.l2.hits`` only ever counts *served* results.
     """
@@ -188,13 +227,9 @@ def _l2_restore_result(l2: Any, key: str) -> BatchResult | None:
             reason = "design digest mismatch"
     if reason:
         _log.warning("L2 entry %s rejected (%s); recomputing", key, reason)
-        counters = getattr(l2, "counters", None)
-        if isinstance(counters, dict):
-            hits_key = f"hits:{L2_RESULT_SECTION}"
-            misses_key = f"misses:{L2_RESULT_SECTION}"
-            counters[hits_key] = counters.get(hits_key, 0) - 1
-            counters[misses_key] = counters.get(misses_key, 0) + 1
-            counters["errors"] = counters.get("errors", 0) + 1
+        l2._count("hits", L2_RESULT_SECTION, -1)
+        l2._count("misses", L2_RESULT_SECTION)
+        l2._count("errors")
         return None
     result.cached = True
     return result
@@ -218,7 +253,7 @@ class BatchReport:
     #: Supervisor event summary (retries, restarts, quarantine, ...).
     supervisor: dict[str, Any] = field(default_factory=dict)
     #: The run was interrupted (SIGINT/SIGTERM); unfinished cases are
-    #: marked ``interrupted`` and a journaled run can be resumed.
+    #: marked ``interrupted`` and a run with an L2 can be resumed.
     interrupted: bool = False
     #: The circuit breaker tripped and pending cases were skipped.
     circuit_opened: bool = False
@@ -302,7 +337,7 @@ class BatchSynthesizer:
         self.fault_plan = fault_plan
         #: Progress-event sink (JSON-ready dicts); the supervisor emits
         #: per-case transitions and heartbeats through it, the batch
-        #: layer adds ``batch_start`` / ``case_resumed`` / ``batch_done``.
+        #: layer adds ``batch_start`` / ``case_cached`` / ``batch_done``.
         self.on_event = on_event
         #: Request trace context for cross-process span stitching.
         #: ``None`` falls back to the ambient context (``use_trace``),
@@ -349,7 +384,7 @@ class BatchSynthesizer:
         trace: TraceContext | None,
     ) -> tuple[list[BatchCase], dict[str, Any], list[dict[str, Any]]]:
         """Build each shared tour, then each shared shortcut plan, once,
-        for the cases not already ``done`` (restored or cached).
+        for the cases not already ``done`` (restored from the L2).
 
         Returns the cases with tours and plans attached, plus the
         metrics snapshot and span records of the parent's work, which
@@ -443,18 +478,14 @@ class BatchSynthesizer:
         return shared
 
     # -- execution -----------------------------------------------------------
-    def run(
-        self,
-        cases,
-        *,
-        journal: BatchJournal | str | Path | None = None,
-    ) -> BatchReport:
+    def run(self, cases) -> BatchReport:
         """Synthesize every case; results come back in input order.
 
-        With ``journal`` set, finished cases are checkpointed as the
-        batch progresses; re-running the same batch against the same
-        journal restores finished results verbatim and executes only
-        the remainder.
+        With an L2 attached, cases the L2 already holds are restored
+        instead of recomputed, and every successful case is persisted
+        as it finishes, so re-running an interrupted batch against the
+        same L2 resumes it.  Failed cases are never stored: a resumed
+        batch re-runs them.
         """
         cases = list(cases)
         start = time.perf_counter()
@@ -463,49 +494,24 @@ class BatchSynthesizer:
         # sharing), so an interrupted run and its resume agree on them
         # regardless of which tours had been attached when it died.
         keys = [case_key(idx, case) for idx, case in enumerate(cases)]
-        journal_obj = self._open_journal(journal, keys)
-
-        restored: dict[int, BatchResult] = {}
-        if journal_obj is not None:
-            done = journal_obj.completed_keys()
-            for idx, key in enumerate(keys):
-                if key in done:
-                    result = journal_obj.restore(key)
-                    if result is not None:
-                        restored[idx] = result
-
-        # Durable tier: cases the journal did not cover may still be
-        # finished work from a previous process life (or another host).
         l2 = get_cache().l2
-        l2_before = dict(getattr(l2, "counters", {})) if l2 is not None else {}
-        cached: dict[int, BatchResult] = {}
+        l2_before = dict(l2.counters) if l2 is not None else {}
+        restored: dict[int, BatchResult] = {}
         if l2 is not None:
             for idx, key in enumerate(keys):
-                if idx in restored:
-                    continue
                 result = _l2_restore_result(l2, key)
                 if result is not None:
                     result.index = idx
-                    cached[idx] = result
+                    restored[idx] = result
 
         self._emit(
             "batch_start",
             cases=len(cases),
             workers=self.workers,
             resumed=len(restored),
-            cached=len(cached),
         )
         for idx in sorted(restored):
-            self._emit(
-                "case_resumed", index=idx, label=restored[idx].label
-            )
-        for idx in sorted(cached):
-            self._emit("case_cached", index=idx, label=cached[idx].label)
-        if journal_obj is not None:
-            for idx, result in cached.items():
-                journal_obj.record(keys[idx], result)
-        journal_restored = len(restored)
-        restored.update(cached)
+            self._emit("case_cached", index=idx, label=restored[idx].label)
 
         trace = self.trace
         if trace is None and self.collect_spans:
@@ -525,12 +531,7 @@ class BatchSynthesizer:
         ]
 
         def checkpoint(result: BatchResult) -> None:
-            if journal_obj is not None:
-                journal_obj.record(keys[result.index], result)
-            if l2 is not None:
-                _l2_store_result(
-                    l2, keys[result.index], cases[result.index], result
-                )
+            _l2_store_result(l2, keys[result.index], cases[result.index], result)
 
         supervisor = WorkerSupervisor(
             self.workers,
@@ -540,12 +541,11 @@ class BatchSynthesizer:
             on_event=self.on_event,
             trace=trace,
         )
-        on_complete = None
-        if journal_obj is not None or l2 is not None:
-            on_complete = checkpoint
-        outcomes = supervisor.run(remaining, on_complete=on_complete)
+        outcomes = supervisor.run(
+            remaining, on_complete=checkpoint if l2 is not None else None
+        )
         stats = supervisor.stats
-        stats.resumed = journal_restored
+        stats.resumed = len(restored)
 
         outcomes = list(restored.values()) + list(outcomes)
         outcomes.sort(key=lambda r: r.index)
@@ -559,27 +559,12 @@ class BatchSynthesizer:
             share_spans=share_spans,
         )
 
-    def _open_journal(
-        self, journal: BatchJournal | str | Path | None, keys: list[str]
-    ) -> BatchJournal | None:
-        if not journal:  # None or "" (CLI default): journaling off
-            return None
-        if isinstance(journal, BatchJournal):
-            journal_obj = journal
-        else:
-            path = Path(journal)
-            journal_obj = (
-                BatchJournal.load(path) if path.exists() else BatchJournal(path)
-            )
-        journal_obj.begin(batch_fingerprint(keys), len(keys))
-        return journal_obj
-
     def _join(
         self,
         outcomes: list[BatchResult],
         stats: SupervisorStats,
         start: float,
-        l2: Any = None,
+        l2: PersistentStore | None = None,
         l2_before: dict[str, int] | None = None,
         share_metrics: dict[str, Any] | None = None,
         share_spans: list[dict[str, Any]] | None = None,
@@ -597,7 +582,7 @@ class BatchSynthesizer:
             # Whole-result and store-health traffic this run generated,
             # as a counter delta (the backend object may be long-lived).
             before = l2_before or {}
-            for counter_key, value in getattr(l2, "counters", {}).items():
+            for counter_key, value in l2.counters.items():
                 metric = counter_metric_name(counter_key)
                 delta = value - before.get(counter_key, 0)
                 if metric is not None and delta:

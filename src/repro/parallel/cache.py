@@ -37,13 +37,8 @@ class SynthesisCache:
         #: Durable L2 backend; ``None`` when no L2 is configured.
         self.l2: PersistentStore | None = None
 
-    def attach_l2(self, backend: Any) -> None:
-        """Install (or replace) the durable L2 behind this cache.
-
-        ``backend`` speaks the store protocol: ``get(section, key) ->
-        (payload, meta) | None``, ``put(section, key, payload, meta)``,
-        ``counters`` and ``stats()``.  Detach with ``None``.
-        """
+    def attach_l2(self, backend: PersistentStore | None) -> None:
+        """Install (or replace) the durable L2; ``None`` detaches it."""
         self.l2 = backend
 
     def clear(self) -> None:

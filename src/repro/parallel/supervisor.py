@@ -95,7 +95,7 @@ FAIL_TIMEOUT = "timeout"  # the watchdog killed a hung worker
 #: Progress-event kinds emitted to the ``on_event`` sink (each event
 #: is a flat JSON-ready dict with an ``event`` key and ``t_s`` seconds
 #: since the supervisor started; the batch layer adds
-#: ``batch_start`` / ``case_resumed`` / ``batch_done``).
+#: ``batch_start`` / ``case_cached`` / ``batch_done``).
 EVENT_CASE_START = "case_start"
 EVENT_CASE_DONE = "case_done"
 EVENT_CASE_FAILED = "case_failed"  # one attempt failed (may retry)
@@ -189,8 +189,6 @@ class BatchResult:
     #: Internal: whether the terminal error is worth retrying
     #: (input/configuration errors are deterministic, so they are not).
     retryable: bool = True
-    #: Internal: restored from a checkpoint journal, not recomputed.
-    resumed: bool = False
     #: Internal: served from the durable L2 cache, not recomputed.
     cached: bool = False
 
@@ -403,7 +401,7 @@ class SupervisorStats:
     crashes: int = 0
     circuit_opened: bool = False
     interrupted: bool = False
-    #: Cases restored from a checkpoint journal (set by the batch layer).
+    #: Cases restored from the L2 instead of run (set by the batch layer).
     resumed: int = 0
     #: Parent-side ``batch.attempt`` span records (span-collection on).
     span_records: list[dict[str, Any]] = field(default_factory=list)
@@ -510,7 +508,7 @@ class WorkerSupervisor:
         """Run every (index, case) pair to a terminal state.
 
         ``on_complete`` fires once per *finished* case (success or
-        quarantine or circuit-open) — the checkpoint-journal hook.
+        quarantine or circuit-open) — the L2 checkpoint hook.
         Interrupted cases never reach it, so a resume re-enqueues
         them.  Results come back unordered; callers sort by index.
         """
@@ -651,19 +649,25 @@ class WorkerSupervisor:
         )
 
     def _finish(self, task: _Task, result: BatchResult) -> None:
-        """Move ``task`` to a terminal state and notify the journal."""
+        """Notify ``on_complete``, then move ``task`` to a terminal state.
+
+        In that order, an interrupt while ``on_complete`` stores the
+        result leaves the case unfinished (and re-run on resume)
+        rather than reported finished but never stored.
+        """
         result.attempts = task.attempt
         result.failure_history = list(task.history)
+        if self._on_complete is not None and not result.interrupted:
+            self._on_complete(result)
         self._results[task.index] = result
         if result.quarantined:
             self.stats.quarantined += 1
-        if self._on_complete is not None and not result.interrupted:
-            self._on_complete(result)
 
     def _succeed(self, task: _Task, result: BatchResult) -> None:
         self._breaker.record(True)
         self._record_attempt_span(task, "ok", result.elapsed_s, result.worker_pid)
         self._case_states[task.index] = STATE_DONE
+        self._finish(task, result)
         self._emit(
             EVENT_CASE_DONE,
             index=task.index,
@@ -672,7 +676,6 @@ class WorkerSupervisor:
             elapsed_s=round(result.elapsed_s, 6),
             worker_pid=result.worker_pid,
         )
-        self._finish(task, result)
 
     def _fail_attempt(
         self,

@@ -130,12 +130,13 @@ def _corrupt_negative_gain(plan: Any) -> Any:
     return plan
 
 
-#: Registry of named, deterministic artifact corruptions per stage kind.
+#: Registry of named, deterministic artifact corruptions: name ->
+#: (the stage whose artifact it mutates, the mutation).
 CORRUPTIONS = {
-    "shift_position": _corrupt_shift_position,
-    "drop_assignment": _corrupt_drop_assignment,
-    "wavelength_overflow": _corrupt_wavelength_overflow,
-    "negative_gain": _corrupt_negative_gain,
+    "shift_position": ("ring", _corrupt_shift_position),
+    "drop_assignment": ("mapping", _corrupt_drop_assignment),
+    "wavelength_overflow": ("mapping", _corrupt_wavelength_overflow),
+    "negative_gain": ("shortcuts", _corrupt_negative_gain),
 }
 
 
@@ -184,6 +185,12 @@ class FaultPlan:
                 f"unknown corruption {corruption!r}; "
                 f"known: {sorted(CORRUPTIONS)}"
             )
+        target = CORRUPTIONS[corruption][0]
+        if stage != target:
+            raise ValueError(
+                f"corruption {corruption!r} mutates the {target} artifact; "
+                f"stage {stage!r} has no such artifact"
+            )
         self.faults.append(StageFault(stage, "corrupt", corruption=corruption))
         return self
 
@@ -230,7 +237,7 @@ class FaultPlan:
     def apply_after(self, stage: str, artifact: Any) -> Any:
         """Fire corruptions scheduled for ``stage`` on its artifact."""
         for fault in self._take(stage, "corrupt"):
-            artifact = CORRUPTIONS[fault.corruption](artifact)
+            artifact = CORRUPTIONS[fault.corruption][1](artifact)
         return artifact
 
     def take_worker_fault(self, case: str, attempt: int) -> WorkerFault | None:

@@ -9,8 +9,8 @@ single lock.
 
 **Admission control.**  ``submit`` is synchronous on the loop: parse
 the spec, compute the canonical case key
-(:func:`repro.parallel.journal.case_key` — the same content hash the
-batch journal uses), and then decide in order: dedup hit → existing
+(:func:`repro.parallel.batch.case_key` — the same content hash that
+keys the batch's L2 entries), and then decide in order: dedup hit → existing
 job; draining → :class:`ServiceDraining`; circuit breaker open →
 :class:`ServiceNotReady`; queue full → :class:`QueueFull` with a
 jittered retry-after derived from

@@ -3,9 +3,7 @@
 The service survives ``kill -9`` because every job state transition is
 durably recorded *before* it is acted on.  :class:`JobStore` keeps one
 JSONL file (``jobs.jsonl`` under the store directory) where each line
-is the **full current record** of one job at the moment of the write —
-a journal in the same family as
-:class:`~repro.parallel.journal.BatchJournal`:
+is the **full current record** of one job at the moment of the write:
 
 - the fast path *appends* one line per transition through the shared
   :func:`~repro.obs.append_jsonl` log (write + flush + ``fsync``), so a
@@ -36,7 +34,7 @@ Record schema (one JSON object per line)::
 
 ``result`` is only populated on ``done`` (the canonical design dump
 plus the provenance report); ``digest`` is the
-:func:`~repro.parallel.journal.result_digest`-style SHA-256 of the
+:func:`~repro.parallel.batch.result_digest`-style SHA-256 of the
 canonical design JSON, the cheap cross-run byte-identity check.
 """
 

@@ -5,8 +5,8 @@ poison-pill case that kills its worker on unpickle), so runs replay
 identically: a crashed worker is retried and respawned, a hung worker
 is killed by the watchdog, a poison case lands in quarantine with its
 full failure history, a systemic failure trips the circuit breaker,
-and an interrupted journaled batch resumes without recomputing
-finished cases.
+and an interrupted batch resumes from its L2 directory without
+recomputing finished cases.
 
 The supervisor's RNG only jitters backoff *timing*, never results, so
 the suite passes under any seed.  CI runs it twice with fixed seeds
@@ -25,17 +25,17 @@ from repro.geometry import Point
 from repro.network import Network
 from repro.parallel import (
     BatchCase,
-    BatchJournal,
-    BatchResult,
     BatchSynthesizer,
     CircuitBreaker,
+    PersistentStore,
     SupervisorConfig,
-    batch_fingerprint,
     case_key,
-    result_digest,
+    clear_caches,
+    configure_l2,
+    get_cache,
 )
 from repro.parallel import supervisor as supervisor_module
-from repro.robustness import CircuitOpen, ConfigurationError, FaultPlan
+from repro.robustness import CircuitOpen, FaultPlan
 
 #: CI replays the whole suite under two fixed seeds; the seed feeds the
 #: supervisor's backoff-jitter RNG and must never change any result.
@@ -109,7 +109,7 @@ def baseline12(network8, tour8):
 
 @pytest.fixture(scope="module")
 def baseline6(network8, tour8):
-    """Fault-free sequential run of the 6-case journal batch."""
+    """Fault-free sequential run of the 6-case resume batch."""
     report = BatchSynthesizer(workers=1).run(_cases(network8, tour8, 6))
     assert report.ok
     return _dumps(report)
@@ -342,92 +342,122 @@ class TestCircuitBreaker:
         assert first[0] < first[1]
 
 
-class TestJournalResume:
-    def test_resume_restores_without_recomputing(
-        self, tmp_path, network8, tour8, baseline6, monkeypatch
-    ):
-        path = tmp_path / "batch.jsonl"
-        cases = _cases(network8, tour8, 6)
-        first = BatchSynthesizer(workers=1).run(cases, journal=path)
-        assert first.ok
+@pytest.fixture
+def l2_dir(tmp_path):
+    """An L2 directory path; no L2 stays attached after the test."""
+    clear_caches()
+    yield tmp_path / "l2"
+    clear_caches()
 
-        def recomputed(index, case, collect_spans):  # pragma: no cover
+
+def _run_against(root, cases, **kwargs):
+    """One batch run against the L2 at ``root``, as a fresh process
+    (nothing attached but the files on disk) would make it."""
+    clear_caches()
+    configure_l2(root)
+    return BatchSynthesizer(workers=1, **kwargs).run(cases)
+
+
+def _count_executions(monkeypatch) -> list[int]:
+    """Record the index of every case that actually runs."""
+    executed: list[int] = []
+    real = supervisor_module._execute_case
+
+    def counting(index, case, collect_spans, trace=None):
+        executed.append(index)
+        return real(index, case, collect_spans, trace)
+
+    monkeypatch.setattr(supervisor_module, "_execute_case", counting)
+    return executed
+
+
+class TestL2Resume:
+    def test_resume_restores_without_recomputing(
+        self, l2_dir, network8, tour8, baseline6, monkeypatch
+    ):
+        cases = _cases(network8, tour8, 6)
+        first = _run_against(l2_dir, cases)
+        assert first.ok and first.supervisor["resumed"] == 0
+
+        def recomputed(index, case, collect_spans, trace=None):  # pragma: no cover
             raise AssertionError(f"case {index} was recomputed on resume")
 
         monkeypatch.setattr(supervisor_module, "_execute_case", recomputed)
-        second = BatchSynthesizer(workers=1).run(cases, journal=path)
+        second = _run_against(l2_dir, cases)
         assert second.ok
         assert second.supervisor["resumed"] == 6
-        assert all(r.resumed for r in second.results)
+        assert all(r.cached for r in second.results)
         assert second.metrics.snapshot()["counters"]["batch.resumed"] == 6
         assert _dumps(second) == baseline6
 
     def test_interrupted_batch_resumes_to_identical_report(
-        self, tmp_path, network8, tour8, baseline6, monkeypatch
+        self, l2_dir, network8, tour8, baseline6, monkeypatch
     ):
-        """Kill the run after 3 checkpoints, resume from the journal:
-        only the unfinished cases execute and the final designs match
-        the uninterrupted baseline byte for byte."""
-        path = tmp_path / "batch.jsonl"
+        """Kill the run while it stores its 4th result, resume from the
+        L2: only the unfinished cases execute and the final designs
+        match the uninterrupted baseline byte for byte."""
         cases = _cases(network8, tour8, 6)
 
-        class _InterruptAfter(BatchJournal):
-            def record(self, key, result):
-                super().record(key, result)
-                if len(self.completed_keys()) >= 3:
+        class _InterruptAfter(PersistentStore):
+            def put(self, *args, **kwargs):
+                if self.counters.get("puts:results", 0) >= 3:
                     raise KeyboardInterrupt
+                return super().put(*args, **kwargs)
 
-        first = BatchSynthesizer(workers=1).run(
-            cases, journal=_InterruptAfter(path)
-        )
+        get_cache().attach_l2(_InterruptAfter(l2_dir))
+        first = BatchSynthesizer(workers=1).run(cases)
         assert first.interrupted
         assert sum(1 for r in first.results if r.interrupted) == 3
         assert sum(1 for r in first.results if r.ok) == 3
 
-        executed = []
-        real = supervisor_module._execute_case
-
-        def counting(index, case, collect_spans, trace=None):
-            executed.append(index)
-            return real(index, case, collect_spans, trace)
-
-        monkeypatch.setattr(supervisor_module, "_execute_case", counting)
-        second = BatchSynthesizer(workers=1).run(cases, journal=path)
+        executed = _count_executions(monkeypatch)
+        second = _run_against(l2_dir, cases)
         assert second.ok
         assert sorted(executed) == [3, 4, 5]
         assert second.supervisor["resumed"] == 3
-        assert [r.resumed for r in second.results] == [True] * 3 + [False] * 3
+        assert [r.cached for r in second.results] == [True] * 3 + [False] * 3
         assert _dumps(second) == baseline6
 
-    def test_resume_with_different_batch_is_rejected(
-        self, tmp_path, network8, tour8
+    def test_failed_case_is_rerun_on_resume(
+        self, l2_dir, network8, tour8, baseline6, monkeypatch
     ):
-        path = tmp_path / "batch.jsonl"
-        BatchSynthesizer(workers=1).run(
-            _cases(network8, tour8, 2), journal=path
+        """The L2 stores successes only, so a case that failed in the
+        first run is run again by the resume, and then succeeds."""
+        cases = _cases(network8, tour8, 3)
+        first = _run_against(
+            l2_dir,
+            cases,
+            config=_fast_config(max_attempts=1),
+            fault_plan=FaultPlan().worker_crash("c1"),
         )
-        other = _cases(network8, tour8, 3)  # different fingerprint
-        with pytest.raises(ConfigurationError, match="different batch"):
-            BatchSynthesizer(workers=1).run(other, journal=path)
+        assert [r.ok for r in first.results] == [True, False, True]
 
-    def test_record_is_idempotent_per_key(self, tmp_path):
-        journal = BatchJournal(tmp_path / "j.jsonl")
-        journal.begin("fp", 1)
-        result = BatchResult(index=0, label="x", error="boom", error_type="E")
-        journal.record("k", result)
-        journal.record("k", result)
-        lines = (tmp_path / "j.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 2  # header + one entry
-        restored = journal.restore("k")
-        assert restored is not None and restored.resumed
-        assert restored.error == "boom"
-        assert result_digest(restored) == result_digest(result)
+        executed = _count_executions(monkeypatch)
+        second = _run_against(l2_dir, cases)
+        assert second.ok
+        assert executed == [1]
+        assert second.supervisor["resumed"] == 2
+        assert _dumps(second) == baseline6[:3]
+
+    def test_different_batch_on_the_same_directory_recomputes(
+        self, l2_dir, network8, tour8, baseline6, monkeypatch
+    ):
+        """Case keys cover position, label and options: a different
+        batch finds no entry of the first one at its indices and is
+        never served another case's design."""
+        six = _cases(network8, tour8, 6)
+        assert _run_against(l2_dir, six[:3]).ok
+
+        executed = _count_executions(monkeypatch)
+        other = _run_against(l2_dir, six[3:])
+        assert other.ok
+        assert sorted(executed) == [0, 1, 2]
+        assert other.supervisor["resumed"] == 0
+        assert not any(r.cached for r in other.results)
+        assert _dumps(other) == baseline6[3:]
 
     def test_case_keys_cover_options_and_order(self, network8, tour8):
         a, b = _cases(network8, tour8, 2)
         assert case_key(0, a) == case_key(0, a)  # stable
         assert case_key(0, a) != case_key(0, b)  # options differ
         assert case_key(0, a) != case_key(1, a)  # position differs
-        keys = [case_key(0, a), case_key(1, b)]
-        assert batch_fingerprint(keys) != batch_fingerprint(keys[::-1])
-

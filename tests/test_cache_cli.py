@@ -87,7 +87,7 @@ class TestCacheCommand:
             if line.startswith("{")
         ]
         starts = [e for e in events if e.get("event") == "batch_start"]
-        assert starts and starts[0]["cached"] == 1
+        assert starts and starts[0]["resumed"] == 1
         assert any(e.get("event") == "case_cached" for e in events)
 
     def test_scrub_exits_1_on_corruption(self, tmp_path, capsys):

@@ -1,11 +1,10 @@
-"""CLI semantics for ``xring batch`` journaling and case files.
+"""CLI semantics for ``xring batch`` result-store flags and case files.
 
-Locks in the fix for a silent-foot-gun: ``--journal A --resume B``
-used to quietly journal into ``B`` (the ``--resume`` path won), so
-checkpoints a user pointed at ``A`` never landed there.  Conflicting
-paths are now a hard usage error; agreeing paths (or either flag
-alone) keep working.  ``--resume`` needs an existing journal, so a
-typo fails instead of rerunning the batch from scratch.
+``--cache-dir DIR`` stores every successful case in the L2 at ``DIR``;
+``--resume DIR`` does the same but requires ``DIR`` to exist, so a
+typo fails instead of rerunning the batch from scratch.  Naming two
+different directories with the two flags is a usage error; naming the
+same one is fine.  ``--journal`` is gone.
 
 Case files are parsed like ``POST /jobs`` bodies: a misspelled field is
 a usage error instead of a silently applied default, inline
@@ -19,6 +18,15 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.parallel import clear_caches
+from repro.parallel.store import ENTRY_SUFFIX
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cache():
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @pytest.fixture
@@ -30,78 +38,89 @@ def case_file(tmp_path):
     return path
 
 
-def test_conflicting_journal_and_resume_is_a_usage_error(
+def test_conflicting_cache_dir_and_resume_is_a_usage_error(
     case_file, tmp_path, capsys
 ):
+    (tmp_path / "b").mkdir()
     rc = main(
         [
             "batch",
             str(case_file),
-            "--journal",
-            str(tmp_path / "a.jsonl"),
+            "--cache-dir",
+            str(tmp_path / "a"),
             "--resume",
-            str(tmp_path / "b.jsonl"),
+            str(tmp_path / "b"),
         ]
     )
     err = capsys.readouterr().err
     assert rc == 2
-    assert "--journal and --resume point at different files" in err
+    assert "--cache-dir and --resume name different directories" in err
     assert "pass only one of the two flags" in err
-    # Fails fast: no journal file was created anywhere.
-    assert not (tmp_path / "a.jsonl").exists()
-    assert not (tmp_path / "b.jsonl").exists()
+    # Fails fast: no store was created or written.
+    assert not (tmp_path / "a").exists()
+    assert list((tmp_path / "b").iterdir()) == []
 
 
 def test_same_path_for_both_flags_is_allowed(case_file, tmp_path, capsys):
-    journal = tmp_path / "journal.jsonl"
-    # First run creates the journal...
-    assert main(["batch", str(case_file), "--journal", str(journal)]) == 0
-    assert journal.exists()
-    # ...and naming the same file via both flags (e.g. a script that
-    # always passes --journal and adds --resume on retry) is fine.
+    store = tmp_path / "l2"
+    # First run creates the store...
+    assert main(["batch", str(case_file), "--cache-dir", str(store)]) == 0
+    assert store.is_dir()
+    # ...and naming the same directory via both flags (e.g. a script
+    # that always passes --cache-dir and adds --resume on retry) is fine.
     rc = main(
         [
             "batch",
             str(case_file),
-            "--journal",
-            str(journal),
+            "--cache-dir",
+            str(store),
             "--resume",
-            str(journal),
+            str(store),
         ]
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "ok" in out
+    assert "1 resumed" in out
 
 
-def test_resume_alone_still_journals_to_the_resumed_path(
-    case_file, tmp_path, capsys
-):
-    journal = tmp_path / "journal.jsonl"
-    assert main(["batch", str(case_file), "--journal", str(journal)]) == 0
-    before = journal.read_text()
-    rc = main(["batch", str(case_file), "--resume", str(journal)])
+def test_resume_alone_restores_from_the_cache_dir(case_file, tmp_path, capsys):
+    store = tmp_path / "l2"
+    assert main(["batch", str(case_file), "--cache-dir", str(store)]) == 0
+    (entry,) = store.rglob(f"*{ENTRY_SUFFIX}")
+    before = entry.read_bytes()
     capsys.readouterr()
+    clear_caches()  # a new process: only the files remain
+    rc = main(["batch", str(case_file), "--resume", str(store)])
+    out = capsys.readouterr().out
     assert rc == 0
     # The resumed run restored the finished case instead of recomputing
-    # it, and the journal still holds it.
-    assert journal.read_text() == before
+    # it, and left its entry as it was.
+    assert "1 cases, 0 failed, 0 quarantined, 1 resumed" in out
+    assert entry.read_bytes() == before
 
 
-def test_resume_from_a_missing_journal_is_a_usage_error(
+def test_resume_from_a_missing_directory_is_a_usage_error(
     case_file, tmp_path, capsys
 ):
     # A typo in --resume must not rerun the whole batch from scratch.
-    missing = tmp_path / "typo.jsonl"
+    missing = tmp_path / "typo" / "l2"
     rc = main(["batch", str(case_file), "--resume", str(missing)])
     captured = capsys.readouterr()
     assert rc == 2
     assert str(missing) in captured.err
     assert captured.out == ""
-    assert not missing.exists()
-    # --journal still starts a new journal at a fresh path.
-    assert main(["batch", str(case_file), "--journal", str(missing)]) == 0
-    assert missing.exists()
+    assert not (tmp_path / "typo").exists()
+    # --cache-dir still starts a new store at a fresh path.
+    assert main(["batch", str(case_file), "--cache-dir", str(missing)]) == 0
+    assert missing.is_dir()
+
+
+def test_journal_flag_is_rejected(case_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(case_file), "--journal", str(tmp_path / "j.jsonl")])
+    assert exc.value.code == 2
+    assert "--journal" in capsys.readouterr().err
+    assert not (tmp_path / "j.jsonl").exists()
 
 
 def _write_cases(tmp_path, cases) -> str:

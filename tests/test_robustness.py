@@ -135,6 +135,19 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().corrupt("mapping", "no_such_mutation")
 
+    @pytest.mark.parametrize(
+        "stage, corruption",
+        [("pdn", "drop_assignment"), ("validate", "drop_assignment")],
+    )
+    def test_corruption_of_another_stages_artifact_rejected(
+        self, stage, corruption
+    ):
+        # A PDN has no assignments to drop (the run used to end in an
+        # AttributeError), and the final gate fires no corruptions (the
+        # fault was never consumed): both are refused when built.
+        with pytest.raises(ValueError, match="mapping artifact"):
+            FaultPlan().corrupt(stage, corruption)
+
 
 class TestEagerOptionValidation:
     @pytest.mark.parametrize(

@@ -8,12 +8,12 @@ Four layers:
   degraded mode on an unusable root, LRU gc;
 - batch-level durability: a restarted process re-serves finished
   results from disk (``cache.l2.hits == cases``) with byte-identical
-  design digests, independently of any journal;
+  design digests, and a torn entry is recomputed on resume;
 - service warm restart: a second server life on a *different* job
   store but the same ``cache_dir`` serves a repeated POST from the L2,
   which holds finished results only;
 - the shared torn-tail-safe JSONL log, one battery parametrized over
-  its three users (job store, batch journal, run ledger):
+  its two users (job store, run ledger):
   torn tails are dropped and never glue onto the next append, interior
   garbage raises, and the on-disk bytes match the earlier writers.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 
 import pytest
 
@@ -31,8 +30,6 @@ from repro.core.synthesizer import SynthesisOptions
 from repro.obs import RunLedger, RunRecord
 from repro.parallel import (
     BatchCase,
-    BatchJournal,
-    BatchResult,
     BatchSynthesizer,
     PersistentStore,
     case_key,
@@ -206,8 +203,8 @@ class TestBatchL2Durability:
         digests = [result_digest(r) for r in first.results]
         assert not any(r.cached for r in first.results)
 
-        # Simulated process restart: the L1 and its backend handle are
-        # gone, only the files remain.  No journal anywhere.
+        # Simulated process restart: the backend handle is gone, only
+        # the files remain.
         clear_caches()
         backend = configure_l2(tmp_path / "l2")
         second = self._run(cases)
@@ -318,7 +315,7 @@ class TestServiceWarmRestart:
 
 
 # ---------------------------------------------------------------------------
-# the shared JSONL log under the job store, journal, ledger and time series
+# the shared JSONL log under the job store and the run ledger
 # ---------------------------------------------------------------------------
 #: The on-disk bytes of each log for one fixed input.  Logs already on
 #: disk must keep loading, so the reader must load these bytes and the
@@ -332,17 +329,6 @@ PARENT_JOBSTORE = (
     b'"kind": "job", "label": "", "request_id": "", "result": null, '
     b'"resumed": false, "runs": 0, "spec": {"nodes": 8}, "state": "queued", '
     b'"trace": null, "trace_id": "", "updated_unix": 2.0}\n'
-)
-PARENT_JOURNAL = (
-    b'{"cases": 1, "fingerprint": "fp", "kind": "header", "version": 1}\n'
-    b'{"attempts": 1, "digest": '
-    b'"81f52337ebb4cb1669bb802c708807dde0519d15cb102a6313d26ad5cd821713", '
-    b'"error": "boom", "index": 0, "key": "k0", "kind": "case", "label": "c0", '
-    b'"ok": false, "payload": "eJwtjzFPxDAMhVtEr3A3MPMPYKn4DUiI4SQGdlSliblGpElw'
-    b"HKADEmwgecP8X9KKN9nS8/ueP5rftq5W8TlCxNBFhco5cF3KEfDFpoDCu2tFeryHlB3Jj1x+"
-    b"yrtccGO9gTfZV9w4NYATPtJXwhsDyR683HEDiMv58RDCJHwKTsUEpk9yW/2L2wkIrU4lkbev"
-    b"AZ8A+2jNknqiiGCKlGRf89mjsi4j9KNNFHCWh1LrOZe2nqwHI9+8s54KMUda1+1K72mOIFzf"
-    b'FD4W1KwGB/LFLZZvptW40UqPy5SH7g+z42hD", "quarantined": false}\n'
 )
 PARENT_LEDGER = (
     b'{"cache": {}, "created_at": "2026-01-01T00:00:00Z", "env": {}, '
@@ -378,29 +364,6 @@ class _JobStoreLog:
         return [record.to_line() for record in loaded.values()]
 
 
-class _JournalLog:
-    parent_bytes = written_bytes = PARENT_JOURNAL
-
-    def __init__(self, root):
-        self.path = root / "batch.jsonl"
-        self.journal = None
-
-    def append(self, i):
-        # One journal per batch run, as BatchSynthesizer keeps it: a
-        # load would (rightly) refuse a corrupt journal before the
-        # append under test.  test_journal_resume_after_torn_tail
-        # covers load-then-append.
-        if self.journal is None:
-            self.journal = BatchJournal(self.path)
-            self.journal.begin("fp", 1)
-        self.journal.record(
-            f"k{i}", BatchResult(index=i, label=f"c{i}", error="boom", error_type="E")
-        )
-
-    def records(self):
-        return list(BatchJournal.load(self.path)._entries.values())
-
-
 class _LedgerLog:
     parent_bytes = PARENT_LEDGER
     written_bytes = LEDGER
@@ -426,8 +389,8 @@ class _LedgerLog:
 
 
 @pytest.fixture(
-    params=[_JobStoreLog, _JournalLog, _LedgerLog],
-    ids=["jobstore", "journal", "ledger"],
+    params=[_JobStoreLog, _LedgerLog],
+    ids=["jobstore", "ledger"],
 )
 def log(request, tmp_path):
     return request.param(tmp_path)
@@ -510,30 +473,34 @@ class TestJsonlLogDurability:
 
     def test_writer_reproduces_the_parent_bytes(self, log):
         log.append(0)
-        # zlib builds may compress the pickled journal payload
-        # differently; every other byte must match.
-        payload = re.compile(rb'"payload": "[^"]*"')
-        assert payload.sub(b"", log.path.read_bytes()) == payload.sub(
-            b"", log.written_bytes
-        )
+        assert log.path.read_bytes() == log.written_bytes
 
 
-def test_journal_resume_after_torn_tail(tmp_path, fresh_cache, network8):
-    """A resumed batch restores every case checkpointed before the
-    kill and its own appends land after the dropped torn tail."""
-    path = tmp_path / "batch.jsonl"
+def test_resume_after_torn_l2_entry(tmp_path, fresh_cache, network8):
+    """A write torn at its final path (kill mid-write by a foreign
+    writer, disk error) is quarantined on resume and that case alone
+    is recomputed; the other case is restored from the L2."""
     cases = [_heuristic_case(network8, f"c{i}", wl_budget=4 + i) for i in range(2)]
-    BatchSynthesizer(workers=1).run(cases, journal=path)
-    _tear(path)
-    assert len(BatchJournal.load(path).completed_keys()) == 2
-    report = BatchSynthesizer(workers=1).run(cases, journal=path)
+    plan = FaultPlan().store_torn_final("results")
+    get_cache().attach_l2(PersistentStore(tmp_path / "l2", fault_plan=plan))
+    first = BatchSynthesizer(workers=1).run(cases)
+    assert first.ok and plan.exhausted
+
+    clear_caches()
+    backend = configure_l2(tmp_path / "l2")
+    report = BatchSynthesizer(workers=1).run(cases)
     assert report.ok
-    assert report.supervisor["resumed"] == 2
+    assert report.supervisor["resumed"] == 1
+    assert [r.cached for r in report.results] == [False, True]
+    assert backend.counters["quarantined"] == 1
+    assert [result_digest(r) for r in report.results] == [
+        result_digest(r) for r in first.results
+    ]
 
 
 class TestCanonicalDigests:
     """Content hashes keyed off :func:`repro.obs.canonical_json` must keep
-    their values: journals, L2 entries and ledgers on disk are keyed by
+    their values: L2 entries and ledgers on disk are keyed by
     them."""
 
     def test_case_key_is_pinned(self, network8):
