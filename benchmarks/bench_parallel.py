@@ -13,6 +13,10 @@ study and the ablation sweep:
 - **stages** — psion syntheses at 8 and 16 nodes, per stage and per
   Step-1 sub-layer (``ring.build_model``, ``conflicts.build``,
   ``milp.solve``, ``ring.realizations``);
+- **mapping scale** — Steps 3 and 4 alone (``map_signals`` then
+  ``build_pdn``) on the 64- and 128-node extended-grid tours, without
+  shortcuts: every demand rides the ring, as in the ``plain_ring``
+  fallback, which makes this the heaviest mapping input of a size;
 - **profiler tax** — one representative synthesis bare vs under the
   sampling profiler (``overhead_frac`` must stay under the <5%
   promise the profiler tests gate).
@@ -55,6 +59,9 @@ REPEATS = 3
 #: Floorplan sizes and repeats of the per-stage timing.
 STAGE_SIZES = (8, 16)
 STAGE_REPEATS = 7
+#: Tour sizes and repeats of the Step 3-4 scale timing.
+MAPPING_SIZES = (64, 128)
+MAPPING_REPEATS = 5
 #: Alternating bare/profiled run pairs of the profiler-tax arm.
 PROFILE_REPEATS = 7
 #: Step-1 spans reported under the ring stage.
@@ -211,6 +218,48 @@ def bench_stages(sizes: tuple[int, ...] = STAGE_SIZES) -> dict:
             "ring_layers_s": {
                 name: _spread(samples) for name, samples in layers.items()
             },
+        }
+    return result
+
+
+def bench_mapping_scale(sizes: tuple[int, ...] = MAPPING_SIZES) -> dict:
+    """Steps 3-4 wall clock on large extended-grid tours.
+
+    The tour is built once per size; ``map_signals`` (all-to-all
+    demands, no shortcut plan, one wavelength per node) and
+    ``build_pdn`` on its result then run ``MAPPING_REPEATS`` times.
+    """
+    from repro.core.mapping import map_signals
+    from repro.core.pdn import build_pdn
+    from repro.core.ring import construct_ring_tour
+    from repro.core.shortcuts import ShortcutPlan
+    from repro.network.placement import extended_placement
+    from repro.network.traffic import all_to_all
+    from repro.photonics.parameters import ORING_LOSSES
+
+    result = {}
+    for num_nodes in sizes:
+        points, die = extended_placement(num_nodes)
+        tour = construct_ring_tour(list(points))
+        demands = all_to_all(num_nodes)
+        mapping_runs, pdn_runs = [], []
+        for _ in range(MAPPING_REPEATS):
+            mapping, seconds = _timed(
+                map_signals, tour, demands, ShortcutPlan(), num_nodes
+            )
+            mapping_runs.append(seconds)
+            _, seconds = _timed(
+                build_pdn, tour, mapping, ShortcutPlan(), ORING_LOSSES, die
+            )
+            pdn_runs.append(seconds)
+        result[str(num_nodes)] = {
+            "num_nodes": num_nodes,
+            "repeats": MAPPING_REPEATS,
+            "cpu_count": os.cpu_count(),
+            "map_signals": _spread(mapping_runs),
+            "build_pdn": _spread(pdn_runs),
+            "ring_waveguides": len(mapping.rings),
+            "wavelengths": len(mapping.used_wavelengths),
         }
     return result
 
@@ -413,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         "scaling": bench_scaling(sizes, args.workers),
         "ablation_sweep": bench_ablation(num_nodes=16),
         "stages": bench_stages(),
+        "mapping_scale": bench_mapping_scale(),
         "profile": bench_profile(num_nodes=16),
         "lazy_conflicts": bench_lazy_conflicts(
             num_nodes=64, scalar_ref_nodes=32
@@ -500,6 +550,14 @@ def main(argv: list[str] | None = None) -> int:
             f"  stages N={size}: total={stage['total']['median_s']}s"
             f" (IQR {stage['total']['iqr_s']}s,"
             f" {stage['repeats']} runs) | ring {layers}"
+        )
+    for size, scale in payload["mapping_scale"].items():
+        print(
+            f"  mapping scale N={size}:"
+            f" map_signals={scale['map_signals']['median_s']}s"
+            f" (IQR {scale['map_signals']['iqr_s']}s)"
+            f" build_pdn={scale['build_pdn']['median_s']}s"
+            f" (IQR {scale['build_pdn']['iqr_s']}s, {scale['repeats']} runs)"
         )
     profile = payload["profile"]
     print(

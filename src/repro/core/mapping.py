@@ -22,8 +22,13 @@ inner pairs, so no noise on a shared wavelength can reach a receiver.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from repro.core.ring import RingTour
 from repro.core.shortcuts import ShortcutPlan
@@ -87,79 +92,113 @@ class SignalMapping:
         return used
 
 
-def _arc_edges(tour: RingTour, src: int, dst: int, direction: Direction) -> frozenset[int]:
-    """Tour-edge indices covered by the directed arc, in CW indexing."""
-    order = tour.order
-    n = len(order)
-    index = {node: k for k, node in enumerate(order)}
-    if direction is Direction.CW:
-        start, stop = index[src], index[dst]
-    else:
-        start, stop = index[dst], index[src]
-    edges = set()
-    k = start
-    while k != stop:
-        edges.add(k)
-        k = (k + 1) % n
-    return frozenset(edges)
+#: A directed arc on the tour: the ``[lo, hi)`` runs of CW tour-edge
+#: indices it covers (one run, or two when it wraps past ``order[0]``),
+#: the runs to probe first (the same runs, or none on a short arc),
+#: those edges as a set, and the nodes strictly inside it.
+_Spans = tuple[tuple[int, int], ...]
+_Arc = tuple[_Spans, _Spans, frozenset[int], frozenset[int]]
 
-
-def _passed_nodes(tour: RingTour, src: int, dst: int, direction: Direction) -> frozenset[int]:
-    """Nodes whose receivers the directed arc traverses."""
-    if direction is Direction.CW:
-        return frozenset(tour.nodes_strictly_between(src, dst))
-    return frozenset(tour.nodes_strictly_between(dst, src))
+#: Edge spacing of the cheap first pass of the fit test, which runs on
+#: arcs longer than one stride.
+_PROBE_STRIDE = 16
 
 
 class _Mapper:
-    """Mutable state of the mapping/opening algorithm."""
+    """Mutable state of the mapping/opening algorithm.
+
+    Wavelength use is one bitmask per (ring, tour edge): bit ``w`` of
+    ``_masks[rid][k]`` is set when some signal on ring ``rid`` uses
+    wavelength ``w`` on tour edge ``k``.  The first fitting wavelength
+    of an arc is the lowest bit clear in the OR of its edges' masks.
+    """
 
     def __init__(self, tour: RingTour, wl_budget: int) -> None:
         self.tour = tour
-        self.wl_budget = wl_budget
         self.rings: list[RingWaveguide] = []
+        # (ring, its masks) per direction, in creation order.  (An Enum
+        # member hashes in Python, not in C, so neither these nor the
+        # arc cache are keyed by Direction.)
+        self._cw_rings: list[tuple[RingWaveguide, list[int]]] = []
+        self._ccw_rings: list[tuple[RingWaveguide, list[int]]] = []
         self.assignments: dict[tuple[int, int], RingAssignment] = {}
-        #: Occupied tour-edge indices per ``(rid, wavelength)`` slot.
-        #: Assignments sharing a slot are edge-disjoint by construction
-        #: (``_conflicts`` gates every commit), so removal on relocate
-        #: is an exact set difference.
-        self._occupied: dict[tuple[int, int], set[int]] = {}
+        self._all_wavelengths = (1 << wl_budget) - 1
+        self._position = {node: k for k, node in enumerate(tour.order)}
+        # Two laps of the tour, so a wrapping arc is one slice.
+        self._order_twice = tour.order * 2
+        self._edges_twice = tuple(range(tour.size)) * 2
+        self._arcs: dict[tuple[int, int, bool], _Arc] = {}
+        self._masks: list[list[int]] = []
+        #: Per ring, its assignments in placement order (the order
+        #: ``assignments`` lists them in).
+        self._carried: list[dict[tuple[int, int], RingAssignment]] = []
 
-    def _conflicts(
-        self, rid: int, wavelength: int, edges: frozenset[int]
-    ) -> bool:
-        occupied = self._occupied.get((rid, wavelength))
-        return occupied is not None and not occupied.isdisjoint(edges)
+    def _arc(self, src: int, dst: int, direction: Direction) -> _Arc:
+        key = (src, dst, direction is Direction.CW)
+        arc = self._arcs.get(key)
+        if arc is not None:
+            return arc
+        if key[2]:
+            start, stop = self._position[src], self._position[dst]
+        else:
+            start, stop = self._position[dst], self._position[src]
+        n = len(self._position)
+        end = start + (stop - start) % n
+        spans = ((start, end),) if end <= n else ((start, n), (0, end - n))
+        arc = self._arcs[key] = (
+            spans,
+            spans if end - start > _PROBE_STRIDE else (),
+            frozenset(self._edges_twice[start:end]),
+            frozenset(self._order_twice[start + 1:end]),
+        )
+        return arc
 
-    def _fits(
-        self, ring: RingWaveguide, assignment_edges: frozenset[int],
-        passed: frozenset[int],
-    ) -> int | None:
-        """First feasible wavelength on ``ring``, or None."""
-        if ring.opening_node is not None and ring.opening_node in passed:
-            return None
-        for wavelength in range(self.wl_budget):
-            if not self._conflicts(ring.rid, wavelength, assignment_edges):
-                return wavelength
+    def _first_fit(
+        self, direction: Direction, arc: _Arc, skip: RingWaveguide | None = None
+    ) -> tuple[RingWaveguide, int, _Arc] | None:
+        """First ``direction`` ring, in creation order, with a free
+        wavelength along ``arc``, and that wavelength.
+
+        A ring opened at a node the arc passes cannot carry the signal.
+        """
+        spans, probe, _, passed = arc
+        all_wavelengths = self._all_wavelengths
+        rings = self._cw_rings if direction is Direction.CW else self._ccw_rings
+        for ring, masks in rings:
+            opening = ring.opening_node
+            if ring is skip or (opening is not None and opening in passed):
+                continue
+            # Every _PROBE_STRIDE-th edge first: on a crowded ring
+            # those few masks usually cover every wavelength already.
+            used = 0
+            for lo, hi in probe:
+                used = reduce(or_, masks[lo:hi:_PROBE_STRIDE], used)
+            if used == all_wavelengths:
+                continue
+            for lo, hi in spans:
+                used = reduce(or_, masks[lo:hi], used)
+            free = ~used & all_wavelengths
+            if free:
+                return ring, (free & -free).bit_length() - 1, arc
         return None
 
     def _new_ring(self, direction: Direction) -> RingWaveguide:
         ring = RingWaveguide(rid=len(self.rings), direction=direction)
         self.rings.append(ring)
+        masks = [0] * len(self._position)
+        self._masks.append(masks)
+        rings = self._cw_rings if direction is Direction.CW else self._ccw_rings
+        rings.append((ring, masks))
+        self._carried.append({})
         return ring
 
     def place(self, src: int, dst: int, direction: Direction) -> RingAssignment:
         """Map one signal onto the first fitting (ring, wavelength)."""
-        edges = _arc_edges(self.tour, src, dst, direction)
-        passed = _passed_nodes(self.tour, src, dst, direction)
-        for ring in self.rings:
-            if ring.direction is not direction:
-                continue
-            wavelength = self._fits(ring, edges, passed)
-            if wavelength is not None:
-                return self._commit(src, dst, ring, direction, wavelength, edges, passed)
-        ring = self._new_ring(direction)
-        return self._commit(src, dst, ring, direction, 0, edges, passed)
+        arc = self._arc(src, dst, direction)
+        found = self._first_fit(direction, arc)
+        if found is None:
+            found = (self._new_ring(direction), 0, arc)
+        return self._commit(src, dst, *found)
 
     def place_first_fit(self, src: int, dst: int) -> RingAssignment:
         """ORNoC-style placement: fill existing waveguides first.
@@ -170,127 +209,99 @@ class _Mapper:
         long way around (Le Beux et al. [10]).  Only when nothing fits
         is a new ring created, in the signal's shorter direction.
         """
-        arcs = {
-            direction: (
-                _arc_edges(self.tour, src, dst, direction),
-                _passed_nodes(self.tour, src, dst, direction),
-            )
+        found = [
+            fit
             for direction in (Direction.CW, Direction.CCW)
-        }
-        for ring in self.rings:
-            edges, passed = arcs[ring.direction]
-            wavelength = self._fits(ring, edges, passed)
-            if wavelength is not None:
-                return self._commit(
-                    src, dst, ring, ring.direction, wavelength, edges, passed
-                )
+            if (fit := self._first_fit(direction, self._arc(src, dst, direction)))
+        ]
+        if found:
+            # The first fitting ring in creation order, either direction.
+            return self._commit(src, dst, *min(found, key=lambda fit: fit[0].rid))
         cw = self.tour.cw_distance(src, dst)
         ccw = self.tour.ccw_distance(src, dst)
         direction = Direction.CW if cw <= ccw else Direction.CCW
-        edges, passed = arcs[direction]
-        ring = self._new_ring(direction)
-        return self._commit(src, dst, ring, direction, 0, edges, passed)
+        arc = self._arc(src, dst, direction)
+        return self._commit(src, dst, self._new_ring(direction), 0, arc)
 
     def _commit(
-        self,
-        src: int,
-        dst: int,
-        ring: RingWaveguide,
-        direction: Direction,
-        wavelength: int,
-        edges: frozenset[int],
-        passed: frozenset[int],
+        self, src: int, dst: int, ring: RingWaveguide, wavelength: int, arc: _Arc
     ) -> RingAssignment:
+        _, _, edges, passed = arc
         assignment = RingAssignment(
             src=src,
             dst=dst,
             rid=ring.rid,
-            direction=direction,
+            direction=ring.direction,
             wavelength=wavelength,
             edges=edges,
             passed_nodes=passed,
         )
         self.assignments[(src, dst)] = assignment
-        self._occupied.setdefault((ring.rid, wavelength), set()).update(edges)
+        self._carried[ring.rid][(src, dst)] = assignment
+        masks = self._masks[ring.rid]
+        bit = 1 << wavelength
+        for k in edges:
+            masks[k] |= bit
         return assignment
 
-    def relocate(self, assignment: RingAssignment, forbidden_rid: int) -> None:
-        """Move a signal off ``forbidden_rid`` (same direction)."""
+    def relocate(self, assignment: RingAssignment, forbidden: RingWaveguide) -> None:
+        """Move a signal off ring ``forbidden`` (same direction)."""
         get_obs().metrics.counter("mapping.relocations").inc()
-        del self.assignments[(assignment.src, assignment.dst)]
-        self._occupied[(assignment.rid, assignment.wavelength)] -= assignment.edges
-        for ring in self.rings:
-            if ring.direction is not assignment.direction or ring.rid == forbidden_rid:
-                continue
-            wavelength = self._fits(ring, assignment.edges, assignment.passed_nodes)
-            if wavelength is not None:
-                self._commit(
-                    assignment.src,
-                    assignment.dst,
-                    ring,
-                    assignment.direction,
-                    wavelength,
-                    assignment.edges,
-                    assignment.passed_nodes,
-                )
-                return
-        ring = self._new_ring(assignment.direction)
-        self._commit(
-            assignment.src,
-            assignment.dst,
-            ring,
-            assignment.direction,
-            0,
-            assignment.edges,
-            assignment.passed_nodes,
-        )
+        key = (assignment.src, assignment.dst)
+        del self.assignments[key]
+        del self._carried[assignment.rid][key]
+        # Signals sharing a (ring, wavelength) slot are edge-disjoint
+        # (``_first_fit`` gates every commit), so clearing the bit is exact.
+        masks = self._masks[assignment.rid]
+        keep = ~(1 << assignment.wavelength)
+        for k in assignment.edges:
+            masks[k] &= keep
+        direction = assignment.direction
+        arc = self._arc(assignment.src, assignment.dst, direction)
+        found = self._first_fit(direction, arc, skip=forbidden)
+        if found is None:
+            found = (self._new_ring(direction), 0, arc)
+        self._commit(assignment.src, assignment.dst, *found)
 
     def open_rings(self) -> None:
         """Fix an opening per ring, relocating traversing signals.
 
         Rings are processed in creation order; relocation may create
         new rings, which join the end of the queue and get their own
-        openings in turn.
+        openings in turn.  The opening is the first node in tour order
+        that the fewest of the ring's signals pass.
         """
         idx = 0
         while idx < len(self.rings):
             ring = self.rings[idx]
             idx += 1
-            counts = {node: 0 for node in self.tour.order}
-            for assignment in self.ring_signals(ring.rid):
-                for node in assignment.passed_nodes:
-                    counts[node] += 1
-            opening = min(self.tour.order, key=lambda node: counts[node])
+            counts = Counter(
+                chain.from_iterable(
+                    a.passed_nodes for a in self._carried[ring.rid].values()
+                )
+            )
+            opening = min(self.tour.order, key=counts.__getitem__)
             ring.opening_node = opening
             if counts[opening] == 0:
                 continue
             movers = [
                 a
-                for a in self.ring_signals(ring.rid)
+                for a in self._carried[ring.rid].values()
                 if opening in a.passed_nodes
             ]
             for assignment in movers:
-                self.relocate(assignment, ring.rid)
-
-    def ring_signals(self, rid: int) -> list[RingAssignment]:
-        return [a for a in self.assignments.values() if a.rid == rid]
+                self.relocate(assignment, ring)
 
     def drop_empty_rings(self) -> None:
         """Remove rings that ended up carrying no signal, renumbering."""
-        live = [r for r in self.rings if self.ring_signals(r.rid)]
+        if all(self._carried):
+            return
+        live = [r for r in self.rings if self._carried[r.rid]]
         remap = {ring.rid: new_rid for new_rid, ring in enumerate(live)}
         for ring in live:
             ring.rid = remap[ring.rid]
         self.assignments = {
-            key: RingAssignment(
-                a.src,
-                a.dst,
-                remap[a.rid],
-                a.direction,
-                a.wavelength,
-                a.edges,
-                a.passed_nodes,
-            )
+            key: dataclasses.replace(a, rid=remap[a.rid])
             for key, a in self.assignments.items()
         }
         self.rings = live
@@ -360,12 +371,12 @@ def map_signals(
     mapper = _Mapper(tour, wl_budget)
 
     ring_demands = [d for d in demands if d not in shortcut_plan.served]
+    arc_lengths = {
+        pair: (tour.cw_distance(*pair), tour.ccw_distance(*pair))
+        for pair in ring_demands
+    }
     if order == "length":
-        ring_demands.sort(
-            key=lambda pair: -min(
-                tour.cw_distance(*pair), tour.ccw_distance(*pair)
-            )
-        )
+        ring_demands.sort(key=lambda pair: -min(arc_lengths[pair]))
     elif order != "demand":
         raise ConfigurationError(
             f"unknown mapping order {order!r}", stage="mapping"
@@ -375,8 +386,7 @@ def map_signals(
         if direction_policy == "first_fit":
             mapper.place_first_fit(src, dst)
             continue
-        cw = tour.cw_distance(src, dst)
-        ccw = tour.ccw_distance(src, dst)
+        cw, ccw = arc_lengths[(src, dst)]
         direction = Direction.CW if cw <= ccw else Direction.CCW
         mapper.place(src, dst, direction)
 
@@ -397,7 +407,9 @@ def map_signals(
         # Per-waveguide wavelength occupancy: how many distinct
         # wavelengths each physical ring instance actually carries.
         occupancy = metrics.histogram("mapping.waveguide_wavelengths")
-        for ring in mapping.rings:
-            distinct = {a.wavelength for a in mapping.ring_signals(ring.rid)}
-            occupancy.observe(len(distinct))
+        distinct: dict[int, set[int]] = {ring.rid: set() for ring in mapping.rings}
+        for a in mapping.assignments.values():
+            distinct[a.rid].add(a.wavelength)
+        for wavelengths in distinct.values():
+            occupancy.observe(len(wavelengths))
     return mapping

@@ -155,13 +155,8 @@ class _PdnBuilder:
         self.ring_copies = ring_copies
         self.design = PdnDesign(mode=mode)
 
-    def _edge_path(self, a: Point, b: Point) -> RectilinearPath:
-        return l_routes(a, b)[0]
-
     def _edge_crossings(self, path: RectilinearPath) -> list[tuple[float, float]]:
         """(distance-along-edge, tour position) of ring crossings."""
-        if self.mode == "internal":
-            return []
         hits: list[tuple[float, float]] = []
         for ring_edge in self.tour.edge_paths:
             for point in crossing_points(path, ring_edge):
@@ -200,8 +195,17 @@ class _PdnBuilder:
                 # point): no waveguide, no propagation.
                 self.accumulate(child, child_loss, target_rids)
                 continue
-            path = self._edge_path(node.point, child.point)
             self.design.tree_edges.append((node.point, child.point))
+            if self.mode == "internal":
+                # The first L-route's length, without building it: its
+                # legs are |dy| then |dx| (or one straight leg), and
+                # their sum is bit-for-bit this Manhattan distance.
+                length = node.point.manhattan(child.point)
+                self.design.total_waveguide_mm += length
+                child_loss += self.loss.propagation(length)
+                self.accumulate(child, child_loss, target_rids)
+                continue
+            path = l_routes(node.point, child.point)[0]
             self.design.total_waveguide_mm += path.length
             cursor = 0.0
             for dist, ring_pos in self._edge_crossings(path):
@@ -240,9 +244,12 @@ def build_pdn(
     # Leaves per ring waveguide: the senders that modulate on it.
     # Nesting convention: rid 0 is the outermost ring instance, so a
     # branch serving ring r crosses the r rings outside it (rids 0..r-1).
+    senders_by_rid: dict[int, set[int]] = {}
+    for a in mapping.assignments.values():
+        senders_by_rid.setdefault(a.rid, set()).add(a.src)
     tree_roots: list[_TreeNode] = []
     for ring in mapping.rings:
-        senders = {a.src for a in mapping.ring_signals(ring.rid)}
+        senders = senders_by_rid.get(ring.rid)
         if not senders:
             continue
         ordered = _ring_sender_order(tour, ring.opening_node, senders)
