@@ -19,7 +19,14 @@ study and the ablation sweep:
   fallback, which makes this the heaviest mapping input of a size;
 - **profiler tax** — one representative synthesis bare vs under the
   sampling profiler (``overhead_frac`` must stay under the <5%
-  promise the profiler tests gate).
+  promise the profiler tests gate);
+- **pool vs inline** — batch_sweep-style 8-variant batches (budget N
+  and N/2, shortcuts and openings on and off, one seeded floorplan
+  each) at N=8, 16 and 20, run by ``BatchSynthesizer(workers=2)`` and
+  ``workers=1`` as alternating pairs in one process, so the inline run
+  is the same-run reference; plus per-batch rows of traced pool runs
+  (parent ring, Step-2 task, dispatch plus IPC, pool start and
+  shutdown).
 
 Each scaling phase and the ablation sweep run ``REPEATS`` times, each
 stage size ``STAGE_REPEATS`` times and each profiler arm
@@ -64,6 +71,11 @@ MAPPING_SIZES = (64, 128)
 MAPPING_REPEATS = 5
 #: Alternating bare/profiled run pairs of the profiler-tax arm.
 PROFILE_REPEATS = 7
+#: Batch sizes, alternating pool/inline pairs per size and traced pool
+#: batches per size of the pool-vs-inline arm.
+POOL_SIZES = (8, 16, 20)
+POOL_PAIRS = 12
+POOL_TRACED = 5
 #: Step-1 spans reported under the ring stage.
 RING_LAYERS = (
     "ring.build_model",
@@ -171,6 +183,158 @@ def bench_ablation(num_nodes: int) -> dict:
         "wall_clock_s": spread["median_s"],
         "repeats": spread,
     }
+
+
+def _sweep_batch(num_nodes: int, index: int) -> list:
+    """Batch ``index`` of the pool-vs-inline arm: the extended grid of
+    ``num_nodes`` nodes moved by a seeded offset of up to 10 mm, times
+    the eight budget x shortcuts x openings variants."""
+    import random
+
+    from repro.core.synthesizer import SynthesisOptions
+    from repro.geometry import Point
+    from repro.network import Network
+    from repro.network.placement import extended_placement
+    from repro.parallel import BatchCase
+
+    rng = random.Random(f"batch_pool/{num_nodes}/{index}")
+    points, _die = extended_placement(num_nodes)
+    dx, dy = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+    network = Network.from_positions([Point(p.x + dx, p.y + dy) for p in points])
+    cases = []
+    for budget in (num_nodes, num_nodes // 2):
+        for shortcuts in (True, False):
+            for openings in (True, False):
+                label = f"n{num_nodes}wl{budget}{'s' * shortcuts}{'o' * openings}"
+                options = SynthesisOptions(
+                    wl_budget=budget,
+                    enable_shortcuts=shortcuts,
+                    enable_openings=openings,
+                    label=label,
+                )
+                cases.append(BatchCase(network=network, options=options, label=label))
+    return cases
+
+
+def _pool_rows(num_nodes: int) -> dict:
+    """Per-batch rows of ``POOL_TRACED`` traced ``workers=2`` batches.
+
+    ``parent_ring`` and ``step2_task`` are the ``batch.share.ring`` and
+    ``batch.share.shortcuts`` spans; ``dispatch_ipc`` sums, over the
+    cases, the time from ``case_start`` to ``case_done`` not spent in
+    the case itself; ``pool_start`` and ``pool_shutdown`` time the
+    supervisor's worker forks and its shutdown.
+    """
+    from repro.parallel import BatchSynthesizer
+    from repro.parallel.supervisor import WorkerSupervisor
+
+    rows: dict[str, list[float]] = {
+        "parent_ring": [],
+        "step2_task": [],
+        "dispatch_ipc": [],
+        "pool_start": [],
+        "pool_shutdown": [],
+        "total": [],
+    }
+    timed = {"_spawn_worker": "pool_start", "_shutdown": "pool_shutdown"}
+    originals = {name: getattr(WorkerSupervisor, name) for name in timed}
+    clock = {row: 0.0 for row in timed.values()}
+
+    def timing(name):
+        def wrapper(*args, **kwargs):
+            began = time.perf_counter()
+            try:
+                return originals[name](*args, **kwargs)
+            finally:
+                clock[timed[name]] += time.perf_counter() - began
+
+        return wrapper
+
+    for name in timed:
+        setattr(WorkerSupervisor, name, timing(name))
+    try:
+        for index in range(POOL_TRACED):
+            cases = _sweep_batch(num_nodes, 1000 + index)
+            events: list[tuple[float, dict]] = []
+            for row in clock:
+                clock[row] = 0.0
+            report, seconds = _timed(
+                BatchSynthesizer(
+                    workers=2,
+                    collect_spans=True,
+                    on_event=lambda e: events.append((time.perf_counter(), e)),
+                ).run,
+                cases,
+            )
+            spans = report.span_records
+            for row, name in (
+                ("parent_ring", "batch.share.ring"),
+                ("step2_task", "batch.share.shortcuts"),
+            ):
+                rows[row].append(
+                    sum(s["duration_s"] for s in spans if s["name"] == name)
+                )
+            starts = {e["index"]: t for t, e in events if e["event"] == "case_start"}
+            elapsed = {r.index: r.elapsed_s for r in report.results}
+            rows["dispatch_ipc"].append(
+                sum(
+                    t - starts[e["index"]] - elapsed[e["index"]]
+                    for t, e in events
+                    if e["event"] == "case_done"
+                )
+            )
+            for row, seconds_in in clock.items():
+                rows[row].append(seconds_in)
+            rows["total"].append(seconds)
+    finally:
+        for name, original in originals.items():
+            setattr(WorkerSupervisor, name, original)
+    return {row: _spread(samples) for row, samples in rows.items()}
+
+
+def bench_batch_pool(
+    sizes: tuple[int, ...] = POOL_SIZES, pairs: int = POOL_PAIRS
+) -> dict:
+    """``workers=2`` against ``workers=1`` on the same 8-case batches.
+
+    Each pair runs one batch both ways, alternating which goes first;
+    every pair's designs must agree (``result_digest``).  Reports, per
+    size, both spreads, the median over pairs of the pool-over-inline
+    ratio (one floorplan per pair, so its ring and Step-2 cost cancel),
+    the pairs the pool won, and the traced per-batch rows.
+    """
+    from repro.parallel import BatchSynthesizer, result_digest
+
+    BatchSynthesizer(workers=2).run(_sweep_batch(8, -1))  # warm imports
+    result = {}
+    for num_nodes in sizes:
+        runs: dict[int, list[float]] = {1: [], 2: []}
+        won = 0
+        designs_equal = True
+        for index in range(pairs):
+            cases = _sweep_batch(num_nodes, index)
+            digests = {}
+            for workers in (2, 1) if index % 2 == 0 else (1, 2):
+                report, seconds = _timed(BatchSynthesizer(workers=workers).run, cases)
+                assert report.ok, report.errors
+                runs[workers].append(seconds)
+                digests[workers] = [result_digest(r) for r in report.results]
+            won += runs[2][-1] < runs[1][-1]
+            designs_equal = designs_equal and digests[1] == digests[2]
+        result[str(num_nodes)] = {
+            "num_nodes": num_nodes,
+            "pairs": pairs,
+            "cpu_count": os.cpu_count(),
+            "pool_workers2": _spread(runs[2]),
+            "inline_workers1": _spread(runs[1]),
+            "pool_over_inline": round(
+                statistics.median(p / i for p, i in zip(runs[2], runs[1])), 3
+            ),
+            "pairs_won_by_pool": won,
+            "designs_equal": designs_equal,
+            "pool_rows_s": _pool_rows(num_nodes),
+        }
+    return result
 
 
 def bench_stages(sizes: tuple[int, ...] = STAGE_SIZES) -> dict:
@@ -467,6 +631,7 @@ def main(argv: list[str] | None = None) -> int:
         "lazy_conflicts": bench_lazy_conflicts(
             num_nodes=64, scalar_ref_nodes=32
         ),
+        "batch_pool": bench_batch_pool(),
     }
 
     # Atomic write: a killed benchmark never leaves a truncated
@@ -579,6 +744,21 @@ def main(argv: list[str] | None = None) -> int:
         f" | ring eager/lazy @N={lazy['scalar_ref_nodes']}:"
         f" {lazy['ring_eager_ref_s']}s/{lazy['ring_lazy_ref_s']}s"
     )
+    for size, pool in payload["batch_pool"].items():
+        rows = " ".join(
+            f"{name}={spread['median_s']}s"
+            for name, spread in pool["pool_rows_s"].items()
+        )
+        print(
+            f"  batch pool N={size}:"
+            f" workers2={pool['pool_workers2']['median_s']}s"
+            f" (IQR {pool['pool_workers2']['iqr_s']}s)"
+            f" workers1={pool['inline_workers1']['median_s']}s"
+            f" (IQR {pool['inline_workers1']['iqr_s']}s)"
+            f" ratio={pool['pool_over_inline']}"
+            f" won {pool['pairs_won_by_pool']}/{pool['pairs']}"
+            f" | {rows}"
+        )
     return 0
 
 

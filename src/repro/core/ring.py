@@ -115,8 +115,12 @@ class RingTour:
 
 
 #: Node count at or above which ``lazy=None`` (auto) enables lazy
-#: conflict-constraint generation.  Below it the eager model solves in
-#: well under a second, so laziness buys nothing.
+#: conflict-constraint generation.  Below it eager is kept for design
+#: stability, not speed: lazy is faster from about 16 nodes on (about
+#: 12 ms against 150 ms at 20 nodes on a 2-vCPU host), but on some
+#: floorplans the two modes return the same cycle in opposite
+#: directions, and the direction changes the design.  Settling that
+#: (one canonical direction, then one ring mode) comes first.
 LAZY_THRESHOLD = 24
 
 #: Hard bound on cutting-plane rounds.  Termination is guaranteed

@@ -107,7 +107,7 @@ class ShortcutPlan:
 def copy_plan(plan: ShortcutPlan) -> ShortcutPlan:
     """A defensively copied plan, safe to hand to callers.
 
-    A plan shared by the batch parent reaches every case of its group,
+    A plan shared by a batch reaches every case of its group,
     and fault-injected runs corrupt list/dict entries in place; fresh
     containers keep the shared original pristine (the
     :class:`Shortcut` and :class:`ShortcutLeg` elements themselves are

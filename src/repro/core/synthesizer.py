@@ -185,7 +185,7 @@ def shortcut_plan_key(
     tour: RingTour, options: SynthesisOptions, demands
 ) -> tuple:
     """The content key of Step 2: every input :func:`plan_shortcuts`
-    reads.  The batch parent's Step-2 sharing groups cases on it."""
+    reads.  The batch's Step-2 sharing groups cases on it."""
     from repro.parallel.cache import canonical_points
 
     return (
@@ -248,8 +248,8 @@ class XRingSynthesizer:
         """Synthesize the router; ``tour`` may be supplied to reuse a
         previously constructed ring (the experiments share Step 1
         between XRing and the ring baselines, as the paper does for
-        ORNoC).  ``plan`` may supply Step 2 for that ``tour`` (the
-        batch parent shares it across cases); it is dropped, and
+        ORNoC).  ``plan`` may supply Step 2 for that ``tour`` (a
+        batch shares it across cases); it is dropped, and
         Step 2 runs, when the ring stage does not keep ``tour``
         unchanged."""
         opts = self.options
@@ -497,7 +497,7 @@ class XRingSynthesizer:
         stage = self._stage("shortcuts", deadline, report, enabled=enabled)
         with stage as (record, span):
             if provided is not None:
-                # A plan shared by the batch parent, selected on this
+                # A plan shared by a batch's plan task, selected on this
                 # very tour; the mapping and final gates still check it.
                 record.status = STATUS_PROVIDED
                 plan = copy_plan(provided)
