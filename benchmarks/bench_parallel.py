@@ -541,7 +541,6 @@ def bench_lazy_conflicts(num_nodes: int, scalar_ref_nodes: int) -> dict:
             select_shortcuts,
             design.tour,
             loss=synth.options.loss,
-            selection=synth.options.shortcut_selection,
             demands=network.demands(),
         )
         shortcut_runs.append(seconds)

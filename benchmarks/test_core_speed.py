@@ -34,7 +34,7 @@ def test_bench_ring_construction(benchmark, num_nodes):
 
 
 @pytest.mark.parametrize("num_nodes", [8, 16])
-def test_bench_shortcut_selection(benchmark, tours, num_nodes):
+def test_bench_select_shortcuts(benchmark, tours, num_nodes):
     _, tour = tours[num_nodes]
     plan = benchmark(select_shortcuts, tour, loss=ORING_LOSSES)
     assert isinstance(plan.shortcuts, list)

@@ -65,7 +65,7 @@ from repro.obs import (
     use_obs,
 )
 from repro.photonics import NIKDAST_CROSSTALK, ORING_LOSSES
-from repro.robustness import SynthesisError
+from repro.robustness import InputError, SynthesisError
 
 #: ``command -> ledger kind`` for run-history recording (commands not
 #: listed — regress/report/mine — never record themselves).
@@ -95,21 +95,22 @@ def _load_placement(path: str) -> Network:
 
     Expected shape: ``{"positions": [[x, y], ...],
     "traffic": [[src, dst], ...]?}`` — or a bare list of positions.
+    Parsed by :func:`repro.service.jobs.network_from_spec`, so a
+    malformed file raises :class:`~repro.robustness.InputError`.
     """
-    import json
-
-    from repro.geometry import Point
+    from repro.service.jobs import network_from_spec
 
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if isinstance(data, list):
-        positions, traffic = data, []
-    else:
-        positions = data["positions"]
-        traffic = data.get("traffic", [])
-    points = [Point(float(x), float(y)) for x, y in positions]
-    pairs = [(int(s), int(d)) for s, d in traffic]
-    return Network.from_positions(points, traffic=pairs)
+        data = {"positions": data}
+    if not isinstance(data, dict) or "positions" not in data:
+        raise InputError(
+            f"placement file {path!r} must hold a list of [x, y] positions "
+            "or an object with 'positions'",
+            stage="input",
+        )
+    return network_from_spec(data)
 
 
 def _start_profiler(args: argparse.Namespace):

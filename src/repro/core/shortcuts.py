@@ -31,7 +31,6 @@ from repro.geometry import (
 )
 from repro.core.ring import RingTour
 from repro.obs import get_obs
-from repro.robustness.errors import ConfigurationError
 
 
 class LegDirection(enum.Enum):
@@ -450,7 +449,6 @@ def select_shortcuts(
     enabled: bool = True,
     max_shortcuts: int | None = None,
     loss=None,
-    selection: str = "gain",
     demands: tuple[tuple[int, int], ...] | None = None,
     deadline=None,
 ) -> ShortcutPlan:
@@ -465,12 +463,10 @@ def select_shortcuts(
     when its propagation savings exceed the drop loss, and a crossing
     between shortcuts is only accepted when the merged pairs' benefit
     outweighs the crossing loss imposed on the direct signals.
-    ``selection`` orders the greedy pass: ``"gain"`` (the paper's rule:
-    largest length saving first) or ``"ring_length"`` (longest-suffering
-    pair first — attacks the worst-case path directly; exposed for the
-    ablation study).  ``demands`` restricts candidates and served pairs
-    to actual communication demands (``None`` means all-to-all, the
-    paper's traffic).  ``deadline`` (a
+    The greedy pass takes pairs in the paper's order: largest gain
+    ``min(cw, ccw) - shortcut length`` first.  ``demands`` restricts
+    candidates and served pairs to actual communication demands
+    (``None`` means all-to-all, the paper's traffic).  ``deadline`` (a
     :class:`~repro.robustness.deadline.Deadline`) is polled once per
     candidate, so a budget can interrupt the stage midway.
 
@@ -483,10 +479,6 @@ def select_shortcuts(
     routed candidates would give, so the plan is the same as routing
     every pair first.
     """
-    if selection not in ("gain", "ring_length"):
-        raise ConfigurationError(
-            f"unknown selection policy {selection!r}", stage="shortcuts"
-        )
     plan = ShortcutPlan()
     if not enabled:
         return plan
@@ -525,10 +517,9 @@ def select_shortcuts(
             return None
         return [chord]
 
-    # Heap entries: (policy key, -gain or -bound, a, b, realizations),
-    # where realizations is None until the pair is routed.  The policy
-    # key is 0 under "gain" and -min(cw, ccw) under "ring_length"; the
-    # (a, b) tie-break matches a stable sort over pairs in index order.
+    # Heap entries: (-gain or -bound, a, b, realizations), where
+    # realizations is None until the pair is routed.  The (a, b)
+    # tie-break matches a stable sort over pairs in index order.
     # The bound carries 1e-9 of slack so float rounding in a realized
     # length can never push the exact gain above it.
     heap = []
@@ -542,8 +533,7 @@ def select_shortcuts(
             bound = ring - points[node_a].manhattan(points[node_b]) + 1e-9
             if bound <= 1e-9:
                 continue
-            key = -ring if selection == "ring_length" else 0.0
-            heap.append((key, -bound, node_a, node_b, None))
+            heap.append((-bound, node_a, node_b, None))
     heapq.heapify(heap)
 
     gain_evaluations = 0
@@ -560,7 +550,7 @@ def select_shortcuts(
             deadline.check("shortcuts")
         if max_shortcuts is not None and len(plan.shortcuts) >= max_shortcuts:
             break
-        key, neg_value, node_a, node_b, realizations = heapq.heappop(heap)
+        neg_value, node_a, node_b, realizations = heapq.heappop(heap)
         if node_a in used_nodes or node_b in used_nodes:
             continue
         if realizations is None:
@@ -571,7 +561,7 @@ def select_shortcuts(
             gain = _ring_gain(tour, node_a, node_b, realizations[0].length)
             if gain > 1e-9:
                 candidates += 1
-                heapq.heappush(heap, (key, -gain, node_a, node_b, realizations))
+                heapq.heappush(heap, (-gain, node_a, node_b, realizations))
             continue
         gain = -neg_value
         chosen = _choose_realization(plan, realizations, shortcut_set)

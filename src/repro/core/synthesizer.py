@@ -4,7 +4,7 @@
 :class:`~repro.network.Network` and returns an
 :class:`~repro.core.design.XRingDesign`.  :class:`SynthesisOptions`
 exposes every knob the experiments and ablations need (wavelength
-budget, shortcut/opening toggles, PDN mode, MILP time limit) and is
+budget, shortcut/opening toggles, PDN mode, deadline) and is
 validated eagerly, so typos fail at construction instead of deep
 inside a stage.
 
@@ -65,7 +65,6 @@ from repro.robustness.report import (
 )
 
 _RING_METHODS = ("milp", "heuristic")
-_SHORTCUT_SELECTIONS = ("gain", "ring_length")
 _PDN_MODES = ("internal", "external")
 _MAPPING_ORDERS = ("length", "demand")
 _DIRECTION_POLICIES = ("shortest", "first_fit")
@@ -111,12 +110,10 @@ class SynthesisOptions:
     #: networks beyond the paper's 32 nodes).
     ring_method: str = "milp"
     enable_shortcuts: bool = True
-    shortcut_selection: str = "gain"
     enable_openings: bool = True
     pdn_mode: str | None = "internal"
     mapping_order: str = "length"
     direction_policy: str = "shortest"
-    milp_time_limit: float | None = None
     #: Conflict-constraint handling for the ring MILP's cutting-plane
     #: loop: ``True`` (lazy) skips the O(E²) conflict build and adds
     #: only violated rows, ``False`` (eager) seeds the model with every
@@ -126,17 +123,14 @@ class SynthesisOptions:
     lazy_conflicts: bool | None = None
     loss: LossParameters = field(default_factory=lambda: ORING_LOSSES)
     label: str = "xring"
-    #: Whole-run wall-clock budget in seconds (None = unlimited).
+    #: Whole-run wall-clock budget in seconds (None = unlimited): the
+    #: one time budget of a synthesis; it also clamps the ring MILP.
     deadline_s: float | None = None
     #: "degrade" (fallback chain) or "raise" (old fail-fast behaviour).
     on_error: str = "degrade"
-    #: Run validation gates (post-mapping and final) with one bounded
-    #: repair-retry each.
-    validate: bool = True
 
     def __post_init__(self) -> None:
         _require(self.ring_method, _RING_METHODS, "ring method")
-        _require(self.shortcut_selection, _SHORTCUT_SELECTIONS, "shortcut selection")
         if self.pdn_mode is not None:
             _require(self.pdn_mode, _PDN_MODES, "PDN mode")
         _require(self.mapping_order, _MAPPING_ORDERS, "mapping order")
@@ -154,10 +148,6 @@ class SynthesisOptions:
                 f"got {self.wl_budget}",
                 context={"wl_budget": self.wl_budget},
             )
-        if self.milp_time_limit is not None and self.milp_time_limit <= 0:
-            raise ConfigurationError(
-                f"milp_time_limit must be positive, got {self.milp_time_limit}"
-            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigurationError(
                 f"deadline_s must be positive, got {self.deadline_s}"
@@ -168,16 +158,14 @@ def build_ring(
     points, options: SynthesisOptions, deadline=None, *, method: str | None = None
 ) -> RingTour:
     """Step 1 as ``options`` configure it, undegraded: the one place
-    ``ring_method``, ``milp_time_limit`` and ``lazy_conflicts`` pick a
-    constructor.  ``method`` overrides ``options.ring_method`` (the
-    synthesizer's heuristic fallback and ring repair)."""
+    ``ring_method`` and ``lazy_conflicts`` pick a constructor (the
+    ``deadline`` clamps the MILP's time limit).  ``method`` overrides
+    ``options.ring_method`` (the synthesizer's heuristic fallback and
+    ring repair)."""
     if (method or options.ring_method) == "heuristic":
         return construct_ring_tour_heuristic(points)
     return construct_ring_tour(
-        points,
-        time_limit=options.milp_time_limit,
-        deadline=deadline,
-        lazy=options.lazy_conflicts,
+        points, deadline=deadline, lazy=options.lazy_conflicts
     )
 
 
@@ -192,7 +180,6 @@ def shortcut_plan_key(
         tour.order,
         canonical_points(tour.points),
         options.enable_shortcuts,
-        options.shortcut_selection,
         options.loss,
         demands,
     )
@@ -206,7 +193,6 @@ def plan_shortcuts(
         tour,
         enabled=options.enable_shortcuts,
         loss=options.loss,
-        selection=options.shortcut_selection,
         demands=demands,
         deadline=deadline,
     )
@@ -465,8 +451,6 @@ class XRingSynthesizer:
                     lambda: build_ring(points, opts, deadline, method="heuristic"),
                     "heuristic_ring",
                 )
-            if not opts.validate:
-                return tour
             # Rebuilding with the heuristic would only reproduce a tour
             # it built (a shared tour comes from the same build_ring
             # call), so that tour is rebuilt with the MILP.
@@ -534,13 +518,12 @@ class XRingSynthesizer:
                 plain_ring,
                 "plain_ring",
             )
-            if opts.validate:
-                mapping = self._repair(
-                    record, report, mapping,
-                    lambda m: self._gate(tour, kept_plan(), m, _MAPPING_RULES),
-                    plain_ring,
-                    "plain_ring",
-                )
+            mapping = self._repair(
+                record, report, mapping,
+                lambda m: self._gate(tour, kept_plan(), m, _MAPPING_RULES),
+                plain_ring,
+                "plain_ring",
+            )
             return mapping, kept_plan()
 
     def _stage_pdn(self, tour, mapping, plan, deadline, report) -> PdnDesign | None:
@@ -559,9 +542,6 @@ class XRingSynthesizer:
             )
 
     def _final_gate(self, design, wl_budget, deadline, report) -> XRingDesign:
-        if not self.options.validate:
-            return design
-
         def repair() -> XRingDesign:
             # A plain-ring remap plus a PDN rebuild.
             tour, plan = design.tour, ShortcutPlan()

@@ -86,9 +86,7 @@ def run_scaling(
         )
         for num_nodes, method in cells
     ]
-    report = BatchSynthesizer(
-        workers=workers, share_tours=False, on_error="raise"
-    ).run(cases)
+    report = BatchSynthesizer(workers=workers, on_error="raise").run(cases)
 
     rows: list[ScalingRow] = []
     for (num_nodes, method), design in zip(cells, report.designs):

@@ -55,9 +55,9 @@ Design decisions:
   running beside the cases that do not wait on it (in a sweep over
   shortcuts on and off, the shortcut-free ones).  The waiting cases
   run once it returns; if it raises, crashes or times out they select
-  their own.  Cases under a deadline or MILP time limit build both
-  steps themselves, and a case whose ring stage repairs the shared
-  tour selects its own shortcuts.
+  their own.  Cases under a deadline build both steps themselves, and a
+  case whose ring stage repairs the shared tour selects its own
+  shortcuts.
 - **Slim results** — a result leaves out the design's ``network``
   and ``tour`` when they are its case's own, and the parent
   re-attaches them before ``on_complete``, the L2 or
@@ -309,8 +309,9 @@ class BatchSynthesizer:
     order and the designs are identical — parallelism *and* fault
     recovery are implementation details, never semantic ones.
 
-    ``share_tours`` (default on) builds Steps 1 and 2 once per group
-    of cases that share them (see the module notes);
+    Steps 1 and 2 are built once per group of two or more cases that
+    share them (see the module notes); a lone case, or cases that
+    differ in floorplan or ring settings, form no group, and the
     designs are the same either way.  ``config`` sets the supervision
     policy (retries, per-case timeout, backoff, circuit breaker).
     ``fault_plan`` injects worker-level chaos faults
@@ -322,7 +323,6 @@ class BatchSynthesizer:
         workers: int = 1,
         *,
         on_error: str = "collect",
-        share_tours: bool = True,
         collect_spans: bool = False,
         config: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
@@ -342,7 +342,6 @@ class BatchSynthesizer:
             )
         self.workers = workers
         self.on_error = on_error
-        self.share_tours = share_tours
         self.collect_spans = collect_spans
         self.config = config or SupervisorConfig()
         self.fault_plan = fault_plan
@@ -374,13 +373,13 @@ class BatchSynthesizer:
         ``lazy_conflicts`` as given (auto stays ``None``; only the ring
         constructor resolves it).  ``None`` marks a case that must
         construct in-worker: it either already has a tour, or runs
-        under a time limit / deadline whose budget accounting would be
-        distorted by parent-side work.
+        under a deadline whose budget accounting would be distorted by
+        parent-side work.
         """
         opts = case.options
         if case.tour is not None:
             return None
-        if opts.milp_time_limit is not None or opts.deadline_s is not None:
+        if opts.deadline_s is not None:
             return None
         return (
             canonical_points(case.network.positions),
@@ -523,13 +522,9 @@ class BatchSynthesizer:
         if trace is None and self.collect_spans:
             trace = current_trace() or TraceContext.new()
 
-        share_metrics: dict[str, Any] = {}
-        share_spans: list[dict[str, Any]] = []
-        plans: list[PlanTask] = []
-        if self.share_tours:
-            cases, plans, share_metrics, share_spans = self._share_steps(
-                cases, restored, trace
-            )
+        cases, plans, share_metrics, share_spans = self._share_steps(
+            cases, restored, trace
+        )
 
         remaining = [
             (idx, case)

@@ -167,14 +167,32 @@ def options_from_spec(spec: dict[str, Any], index: int = 0) -> SynthesisOptions:
 
 
 def network_from_spec(spec: dict[str, Any]) -> Network:
-    """Build the floorplan from inline ``positions`` or a ``nodes`` count.
+    """Build the floorplan from inline ``positions`` or a ``nodes``
+    count, carrying the spec's ``traffic`` either way.
 
+    A malformed floorplan, one the :class:`Network` itself rejects
+    (a traffic pair out of range) included, raises :class:`InputError`.
     Unlike the CLI (which may read placement *files*), the service only
     accepts inline data — a request body must never trigger server-side
     file access.
     """
     from repro.geometry import Point
 
+    traffic = spec.get("traffic", [])
+    if not isinstance(traffic, list):
+        raise InputError(
+            "spec field 'traffic' must be a list of [src, dst] pairs",
+            stage="service",
+        )
+    pairs = []
+    for pair in traffic:
+        try:
+            src, dst = pair
+            pairs.append((int(src), int(dst)))
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"malformed 'traffic' entry {pair!r}", stage="service"
+            ) from exc
     if "positions" in spec:
         positions = spec["positions"]
         if not isinstance(positions, list) or not positions:
@@ -188,27 +206,22 @@ def network_from_spec(spec: dict[str, Any]) -> Network:
             raise InputError(
                 f"malformed 'positions' entry: {exc}", stage="service"
             ) from exc
-        pairs = []
-        for pair in spec.get("traffic", []):
-            try:
-                src, dst = pair
-                pairs.append((int(src), int(dst)))
-            except (TypeError, ValueError) as exc:
-                raise InputError(
-                    f"malformed 'traffic' entry {pair!r}", stage="service"
-                ) from exc
-        return Network.from_positions(points, traffic=pairs)
-    nodes = spec.get("nodes", 16)
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 2:
-        raise InputError(
-            f"spec field 'nodes' must be an integer >= 2, got {nodes!r}",
-            stage="service",
-        )
+        die = None
+    else:
+        nodes = spec.get("nodes", 16)
+        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 2:
+            raise InputError(
+                f"spec field 'nodes' must be an integer >= 2, got {nodes!r}",
+                stage="service",
+            )
+        try:
+            points, die = psion_placement(nodes)
+        except ValueError:
+            points, die = extended_placement(nodes)
     try:
-        points, die = psion_placement(nodes)
-    except ValueError:
-        points, die = extended_placement(nodes)
-    return Network.from_positions(points, die=die)
+        return Network.from_positions(points, traffic=pairs, die=die)
+    except ValueError as exc:
+        raise InputError(f"invalid network: {exc}", stage="service") from exc
 
 
 def case_from_spec(spec: dict[str, Any], index: int = 0) -> BatchCase:
@@ -302,8 +315,6 @@ class ServiceConfig:
     seed: int = 0
     #: Upper bound on a request body.
     max_body_bytes: int = 8 * 1024 * 1024
-    #: Supervisor heartbeat cadence re-emitted on SSE (0 disables).
-    heartbeat_interval_s: float = 0.0
     #: Durable L2 cache: a local content-addressed store directory.
     #: Completed job results survive process restarts independently of
     #: the job store — a warm restart serves repeats from disk.
@@ -342,7 +353,6 @@ class ServiceConfig:
             max_attempts=self.retries + 1,
             case_timeout_s=self.case_timeout_s,
             seed=self.seed,
-            heartbeat_interval_s=self.heartbeat_interval_s,
             force_pool=self.isolate_jobs or self.case_timeout_s is not None,
             # One job per supervisor run: the *service* breaker (over
             # terminal outcomes across jobs) owns systemic-failure
@@ -815,7 +825,6 @@ class JobManager:
         started = time.perf_counter()
         synthesizer = BatchSynthesizer(
             on_error="collect",
-            share_tours=False,
             config=self._sup_config,
             collect_spans=True,
             trace=trace,

@@ -162,7 +162,7 @@ def route_all_pairs(tour: RingTour, pairs=None) -> list:
     in pair order — the eager loop's first pass over all-to-all demands.
 
     A pair's realizations depend on the tour alone, so one call can be
-    shared by every selection policy and demand subset on the tour.
+    shared by every demand subset on the tour.
     ``pairs`` (``(a, b)`` with ``a < b``) restricts the pass to the
     pairs a demand subset can use.
     """
@@ -200,7 +200,6 @@ def select_shortcuts_eager(
     *,
     max_shortcuts: int | None = None,
     loss=None,
-    selection: str = "gain",
     demands: tuple[tuple[int, int], ...] | None = None,
     routes: list | None = None,
 ) -> ShortcutPlan:
@@ -221,18 +220,7 @@ def select_shortcuts_eager(
         or (item[2], item[1]) in demand_set
     ]
     maze: _ChordMaze | None = None
-    if selection == "gain":
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    else:
-        candidates.sort(
-            key=lambda item: (
-                -min(
-                    tour.cw_distance(item[1], item[2]),
-                    tour.ccw_distance(item[1], item[2]),
-                ),
-                -item[0],
-            )
-        )
+    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
 
     used_nodes: set[int] = set()
     for gain, node_a, node_b, realizations in candidates:

@@ -8,7 +8,9 @@ same one is fine.  ``--journal`` is gone.
 
 Case files are parsed like ``POST /jobs`` bodies: a misspelled field is
 a usage error instead of a silently applied default, inline
-``positions`` work, and ``placement`` (a file) stays CLI-only.
+``positions`` work, and ``placement`` (a file) stays CLI-only.  A
+malformed floorplan, inline or in a placement file, ends ``synth`` and
+``batch`` with one ``xring: error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -154,3 +156,38 @@ def test_inline_positions_and_placement_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "inline" in out and "file" in out
+
+
+#: A position without its y, and a traffic pair naming a fifth node of
+#: four.
+MALFORMED_FLOORPLANS = [
+    [[0, 0], [1]],
+    {"positions": [[0, 0], [2, 0], [2, 2], [0, 2]], "traffic": [[0, 9]]},
+]
+
+
+def _assert_one_error_line(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("xring: error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("floorplan", MALFORMED_FLOORPLANS)
+@pytest.mark.parametrize("command", ["synth", "batch"])
+def test_malformed_placement_file_is_a_usage_error(
+    tmp_path, capsys, command, floorplan
+):
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(floorplan))
+    if command == "synth":
+        argv = ["synth", "--placement", str(placement)]
+    else:
+        argv = ["batch", _write_cases(tmp_path, [{"placement": str(placement)}])]
+    _assert_one_error_line(main(argv), capsys)
+
+
+def test_malformed_inline_floorplan_is_a_usage_error(tmp_path, capsys):
+    cases = _write_cases(tmp_path, [MALFORMED_FLOORPLANS[1]])
+    _assert_one_error_line(main(["batch", cases]), capsys)

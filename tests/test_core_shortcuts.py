@@ -63,31 +63,6 @@ class TestSelection:
         plan = select_shortcuts(tour16, max_shortcuts=2, loss=ORING_LOSSES)
         assert len(plan.shortcuts) <= 2
 
-    def test_selection_policy_validation(self, tour8):
-        with pytest.raises(ValueError):
-            select_shortcuts(tour8, selection="bogus")
-
-    def test_ring_length_policy_serves_long_pairs(self, tour16):
-        plan = select_shortcuts(
-            tour16, loss=ORING_LOSSES, selection="ring_length"
-        )
-        assert plan.shortcuts
-        longest = max(
-            min(tour16.cw_distance(a, b), tour16.ccw_distance(a, b))
-            for a in range(tour16.size)
-            for b in range(tour16.size)
-            if a != b
-        )
-        served_ring_lengths = [
-            min(
-                tour16.cw_distance(s.node_a, s.node_b),
-                tour16.ccw_distance(s.node_a, s.node_b),
-            )
-            for s in plan.shortcuts
-        ]
-        # The longest-suffering pair family is attacked first.
-        assert max(served_ring_lengths) >= 0.8 * longest
-
 
 class TestServedPairs:
     def test_direct_pairs_served_both_directions(self, tour16):

@@ -15,6 +15,7 @@ Two axes are compared:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -114,13 +115,23 @@ def test_parallel_batch_matches_sequential():
     assert parallel == sequential
 
 
+def _unshared_cases() -> list[BatchCase]:
+    """:func:`_batch_cases` under a generous deadline, which keeps
+    every case out of the batch's Step 1-2 sharing."""
+    return [
+        dataclasses.replace(
+            case, options=dataclasses.replace(case.options, deadline_s=600.0)
+        )
+        for case in _batch_cases()
+    ]
+
+
 def test_parallel_batch_matches_sequential_without_tour_sharing():
     clear_caches()
-    sequential = _dumps(
-        BatchSynthesizer(workers=1, share_tours=False).run(_batch_cases())
+    sequential = BatchSynthesizer(workers=1).run(_unshared_cases())
+    assert all(
+        d.report.stage("ring").status != "provided" for d in sequential.designs
     )
     clear_caches()
-    parallel = _dumps(
-        BatchSynthesizer(workers=4, share_tours=False).run(_batch_cases())
-    )
-    assert parallel == sequential
+    parallel = BatchSynthesizer(workers=4).run(_unshared_cases())
+    assert _dumps(parallel) == _dumps(sequential)

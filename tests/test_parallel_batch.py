@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import sys
@@ -26,6 +27,7 @@ from repro.parallel import (
     get_cache,
     result_digest,
 )
+from repro.photonics.parameters import ORING_LOSSES
 from repro.robustness.errors import ConfigurationError, SynthesisError
 from repro.robustness.faults import FaultPlan
 from tests.test_property_invariants import FLOORPLANS
@@ -115,7 +117,7 @@ class TestBatchSynthesizer:
             _heuristic_case(network8, "sweep/4", wl_budget=4),
             _heuristic_case(network8, "sweep/8", wl_budget=8),
         ]
-        report = BatchSynthesizer(workers=1, share_tours=True).run(cases)
+        report = BatchSynthesizer(workers=1).run(cases)
         assert report.ok
         first, second = report.designs
         assert first.tour.order == second.tour.order
@@ -123,6 +125,23 @@ class TestBatchSynthesizer:
         # record Step 1 as provided rather than constructed.
         for design in report.designs:
             assert design.report.stage("ring").status == "provided"
+
+    def test_unshareable_cases_build_their_own_steps(self, network8, network16):
+        # A lone case, and cases that differ in floorplan or ring
+        # method, form no sharing group.
+        for cases in (
+            [_heuristic_case(network8, "lone")],
+            [
+                _heuristic_case(network8, "small"),
+                _heuristic_case(network16, "big"),
+                _heuristic_case(network8, "small/milp", ring_method="milp"),
+            ],
+        ):
+            report = BatchSynthesizer(workers=1).run(cases)
+            assert report.ok
+            for design in report.designs:
+                assert design.report.stage("ring").status != "provided"
+                assert design.report.stage("shortcuts").status != "provided"
 
     def test_shared_crossed_heuristic_tour_is_repaired_like_serial(self):
         # The parent shares a heuristic tour with residual crossings;
@@ -135,7 +154,7 @@ class TestBatchSynthesizer:
             _heuristic_case(network, "lattice/4", wl_budget=4),
             _heuristic_case(network, "lattice/8", wl_budget=8),
         ]
-        report = BatchSynthesizer(workers=1, share_tours=True).run(cases)
+        report = BatchSynthesizer(workers=1).run(cases)
         assert report.ok
         for case, design in zip(cases, report.designs):
             record = design.report.stage("ring")
@@ -154,7 +173,7 @@ class TestBatchSynthesizer:
         assert {"synthesize"} <= {s["name"] for s in report.span_records}
 
 
-def _variant_grid(network: Network, selection: str) -> list[BatchCase]:
+def _variant_grid(network: Network) -> list[BatchCase]:
     """The batch_sweep grid: budget N and N/2 x shortcuts x openings."""
     nodes = network.size
     cases = []
@@ -166,7 +185,6 @@ def _variant_grid(network: Network, selection: str) -> list[BatchCase]:
                     wl_budget=budget,
                     enable_shortcuts=shortcuts,
                     enable_openings=openings,
-                    shortcut_selection=selection,
                     label=label,
                 )
                 cases.append(BatchCase(network=network, options=options, label=label))
@@ -178,7 +196,7 @@ def _serial(case: BatchCase) -> dict:
 
 
 #: Small property-corpus floorplans: their MILP rings solve in
-#: milliseconds, so the grid runs under both policies and pool sizes.
+#: milliseconds, so the grid runs under both pool sizes.
 SMALL_FLOORPLANS = [points for points in FLOORPLANS if len(points) <= 10][:3]
 
 
@@ -211,11 +229,10 @@ class TestStepTwoSharing:
     inputs match; batch designs stay identical to serial runs."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("selection", ["gain", "ring_length"])
     @pytest.mark.parametrize("plan_index", range(len(SMALL_FLOORPLANS)))
-    def test_variant_grid_matches_serial(self, workers, selection, plan_index):
+    def test_variant_grid_matches_serial(self, workers, plan_index):
         network = Network.from_positions(SMALL_FLOORPLANS[plan_index])
-        cases = _variant_grid(network, selection)
+        cases = _variant_grid(network)
         report = BatchSynthesizer(workers=workers).run(cases)
         assert report.ok
         provided = 0
@@ -225,8 +242,12 @@ class TestStepTwoSharing:
             if status == "provided":
                 provided += 1
                 assert case.options.enable_shortcuts
-        # One group of four, unless the ring gate repaired the tour.
+        # One shared tour, and one plan group of four unless the ring
+        # gate repaired the tour.
         repaired = report.designs[0].report.stage("ring").status == "repaired"
+        assert {d.report.stage("ring").status for d in report.designs} == {
+            "repaired" if repaired else "provided"
+        }
         assert provided == (0 if repaired else 4)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -274,7 +295,11 @@ class TestStepTwoSharing:
             for wl in (4, 8)
             for o in (True, False)
         ]
-        lone = _heuristic_case(network8, "lone", shortcut_selection="ring_length")
+        lone = _heuristic_case(
+            network8,
+            "lone",
+            loss=dataclasses.replace(ORING_LOSSES, crossing_db=0.5),
+        )
         off = _heuristic_case(network8, "off", enable_shortcuts=False)
         timed = [
             _heuristic_case(network8, f"timed{i}", deadline_s=60.0) for i in range(2)
@@ -384,7 +409,7 @@ class TestPoolPath:
             pytest.skip(f"no {START_METHOD} start method here")
         _use_start_method(monkeypatch, START_METHOD)
         network = Network.from_positions(SMALL_FLOORPLANS[plan_index])
-        cases = _variant_grid(network, "gain")
+        cases = _variant_grid(network)
         inline = BatchSynthesizer(workers=1).run(cases)
         pool = BatchSynthesizer(workers=2).run(cases)
         assert inline.ok and pool.ok

@@ -127,6 +127,20 @@ class TestSpecParsing:
         with pytest.raises(InputError, match="positions"):
             case_from_spec({"positions": [["x", "y"]]})
 
+    def test_network_rejections_are_input_errors(self):
+        square = [[0, 0], [2, 0], [2, 2], [0, 2]]
+        with pytest.raises(InputError, match="out of range"):
+            case_from_spec({"positions": square, "traffic": [[0, 9]]})
+        with pytest.raises(InputError, match="out of range"):
+            case_from_spec({"nodes": 8, "traffic": [[0, 9]]})
+        with pytest.raises(InputError, match="traffic"):
+            case_from_spec({"nodes": 8, "traffic": 3})
+
+    def test_nodes_spec_carries_its_traffic(self):
+        case = case_from_spec({"nodes": 8, "traffic": [[0, 1]]})
+        assert case.network.traffic == ((0, 1),)
+        assert job_key(case) != job_key(case_from_spec({"nodes": 8}))
+
     def test_identical_specs_share_a_key(self):
         a = job_key(case_from_spec({"nodes": 8, "wl": 8}))
         b = job_key(case_from_spec({"nodes": 8, "wl": 8}))
@@ -443,6 +457,16 @@ class TestHappyPath:
                         break
         assert names[0] == "job_queued"
         assert names[-1] == "job_done"
+
+    def test_malformed_floorplan_is_a_400(self, live):
+        server = live()
+        for spec in (
+            {"positions": [[0, 0], [1]]},
+            {"positions": [[0, 0], [2, 0], [2, 2], [0, 2]], "traffic": [[0, 9]]},
+        ):
+            status, payload, _ = server.post_json("/jobs", spec)
+            assert status == 400, (spec, status, payload)
+            assert "positions" in payload["error"] or "out of range" in payload["error"]
 
     def test_error_routes(self, live):
         server = live()

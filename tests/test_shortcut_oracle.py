@@ -4,14 +4,14 @@
 when the pair's gain bound reaches the top of a heap and caps its maze
 search at the ring arc.  Both are claimed to leave the plan unchanged,
 so every plan here must be dict-equal to the one the eager loop in
-``tests/shortcut_oracle.py`` produces (route every pair, sort, select),
-under both selection policies, with and without a shortcut cap and a
-demand subset.  The random floorplans are the property suite's corpus,
-so ``REPRO_PROPERTY_SEED`` / ``REPRO_PROPERTY_CASES`` widen this check
+``tests/shortcut_oracle.py`` produces (route every pair, sort by gain,
+select), with and without a shortcut cap and a demand subset.  The
+random floorplans are the property suite's corpus, so
+``REPRO_PROPERTY_SEED`` / ``REPRO_PROPERTY_CASES`` widen this check
 too.  The three paper-size golden placements are checked in full; the
-64-node one only under ``ring_length`` with a shortcut cap and a demand
-subset, because routing all 2016 pairs eagerly takes most of a minute
-(``tests/test_golden_regression.py`` pins its full ``gain`` plan).
+64-node one only with a shortcut cap and a demand subset, because
+routing all 2016 pairs eagerly takes most of a minute
+(``tests/test_golden_regression.py`` pins its full plan).
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from repro.robustness.report import STATUS_FALLBACK
 from tests.shortcut_oracle import route_all_pairs, select_shortcuts_eager
 from tests.test_property_invariants import SEED, _floorplans
 
-POLICIES = ("gain", "ring_length")
-
-
 def _assert_same_plan(tour, routes, **kwargs):
     lazy = select_shortcuts(tour, **kwargs)
     eager = select_shortcuts_eager(tour, routes=routes, **kwargs)
@@ -54,19 +51,17 @@ def _demand_subset(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
     return tuple(pair for pair in all_to_all(n) if rng.random() < 0.4)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_lazy_matches_eager_on_property_corpus(policy):
+def test_lazy_matches_eager_on_property_corpus():
     rng = random.Random(SEED)
     for points in _floorplans():
         tour = construct_ring_tour_heuristic(points)
         routes = route_all_pairs(tour)
-        _assert_same_plan(tour, routes, loss=ORING_LOSSES, selection=policy)
-        _assert_same_plan(tour, routes, selection=policy, max_shortcuts=2)
+        _assert_same_plan(tour, routes, loss=ORING_LOSSES)
+        _assert_same_plan(tour, routes, max_shortcuts=2)
         _assert_same_plan(
             tour,
             routes,
             loss=ORING_LOSSES,
-            selection=policy,
             demands=_demand_subset(tour.size, rng),
         )
 
@@ -84,23 +79,17 @@ GOLDEN_TOURS = {
 def test_lazy_matches_eager_on_golden_placements(name):
     tour = GOLDEN_TOURS[name]()
     routes = route_all_pairs(tour)
-    for policy in POLICIES:
-        plan = _assert_same_plan(
-            tour,
-            routes,
-            loss=ORING_LOSSES,
-            selection=policy,
-            demands=all_to_all(tour.size),
-        )
-        assert plan.shortcuts
-        _assert_same_plan(
-            tour,
-            routes,
-            loss=ORING_LOSSES,
-            selection=policy,
-            max_shortcuts=3,
-            demands=_demand_subset(tour.size, random.Random(tour.size)),
-        )
+    plan = _assert_same_plan(
+        tour, routes, loss=ORING_LOSSES, demands=all_to_all(tour.size)
+    )
+    assert plan.shortcuts
+    _assert_same_plan(
+        tour,
+        routes,
+        loss=ORING_LOSSES,
+        max_shortcuts=3,
+        demands=_demand_subset(tour.size, random.Random(tour.size)),
+    )
 
 
 def test_lazy_matches_eager_on_64_node_golden_subset():
@@ -111,7 +100,6 @@ def test_lazy_matches_eager_on_64_node_golden_subset():
         tour,
         routes,
         loss=ORING_LOSSES,
-        selection="ring_length",
         max_shortcuts=3,
         demands=demands,
     )

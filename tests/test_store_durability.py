@@ -508,7 +508,7 @@ class TestCanonicalDigests:
             network=network8, options=SynthesisOptions(wl_budget=8), label="pin"
         )
         assert case_key(0, case) == (
-            "9c3a231579394dfcd677de93a710d4a1616d29738124b4fe750cb14eda5d1755"
+            "78c83beca94847b6a84a7f4ae70caa1413b976c00e08d6fa4187972eea3b8d98"
         )
 
     def test_run_record_fingerprints_are_pinned(self):

@@ -230,7 +230,7 @@ class TestResidualRingCrossings:
 
     def test_milp_ring_repair_uses_the_configured_options(self, monkeypatch):
         """The MILP rebuild of a heuristic tour reads ``lazy_conflicts``
-        and ``milp_time_limit`` the way a first attempt does."""
+        the way a first attempt does."""
         from repro.core import synthesizer
 
         calls = []
@@ -243,14 +243,11 @@ class TestResidualRingCrossings:
         monkeypatch.setattr(synthesizer, "construct_ring_tour", recording)
         design = XRingSynthesizer(
             Network.from_positions(heuristic_crossed_lattice14()),
-            SynthesisOptions(
-                ring_method="heuristic", lazy_conflicts=True, milp_time_limit=30
-            ),
+            SynthesisOptions(ring_method="heuristic", lazy_conflicts=True),
         ).run()
         assert design.report.stage("ring").fallback == "milp_ring"
         assert len(calls) == 1
         assert calls[0]["lazy"] is True
-        assert calls[0]["time_limit"] == 30
         assert design.tour.crossing_count == 0
 
 
